@@ -4,7 +4,8 @@
 // campaign budget; the headline numbers — candidates evaluated, delta-reuse
 // ratio, the discovered architecture's SFF and gate cost, and the
 // bit-identity of the search-path verdicts against a cold flat re-run —
-// land in BENCH_search.json for the search-gate CI job.
+// land in BENCH_search.json for the search-gate CI job, with the campaign
+// engine the search ran on (its default, bit-sliced) and the host.
 #include <chrono>
 #include <filesystem>
 #include <string>
@@ -47,7 +48,8 @@ void printTable() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  std::cout << "discovered: " << res.best.id << "\n";
+  std::cout << "campaign engine: " << faultsim::engineKindName(sopt.engine)
+            << "\ndiscovered: " << res.best.id << "\n";
   std::printf(
       "hybrid SFF %.6f (analytic %.6f, measured %.6f), +%zu GE\n"
       "%zu candidates / %zu rounds, %zu of %zu faults simulated "
@@ -88,6 +90,8 @@ void printTable() {
       .field("verified_identical", res.verifiedIdentical)
       .field("verified_records",
              static_cast<std::uint64_t>(res.verifiedRecords))
+      .field("engine", std::string(faultsim::engineKindName(sopt.engine)))
+      .field("host", benchutil::hostJson())
       .field("wall_s", seconds);
   dump.write();
 }

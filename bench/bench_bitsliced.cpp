@@ -3,7 +3,7 @@
 // Up to 256 faulty machines share one SIMD word group (one lockstep golden
 // Simulator plus per-net divergence words), lanes retire the moment their
 // verdict is final and are refilled from the pending transient queue, and
-// whole levels outside the group's union forward cone are skipped.  Records
+// only cells with a disturbed input re-evaluate.  Records
 // are verified bit-identical to the serial oracle before any number is
 // reported; the headline figures land in BENCH_bitsliced.json for CI trend
 // tracking (a reference copy is checked in under reports/).
@@ -111,7 +111,6 @@ void printTable() {
   widest.engine = faultsim::EngineKind::Bitsliced;
   const Measurement sliced = timedRun(mgr, s, widest);
   const double occupancy = reg.gauge("faultsim.bitsliced.lane_occupancy");
-  const double coneSkip = reg.gauge("faultsim.bitsliced.cone_skip_ratio");
 
   inject::CampaignOptions portable = widest;
   portable.laneWords = 1;  // the 64-lane portable width
@@ -139,9 +138,8 @@ void printTable() {
   row("bitsliced (4 threads)", sliced4);
   const double retireRate =
       static_cast<double>(sliced.stats.lanesRetiredEarly) / n;
-  std::printf(
-      "\nlane occupancy %.1f%%, early retirement %.1f%%, cone skip %.1f%%\n",
-      occupancy * 100.0, retireRate * 100.0, coneSkip * 100.0);
+  std::printf("\nlane occupancy %.1f%%, early retirement %.1f%%\n",
+              occupancy * 100.0, retireRate * 100.0);
 
   benchutil::JsonDump dump("BENCH_bitsliced.json");
   dump.field("design", "frmem-v2")
@@ -163,8 +161,7 @@ void printTable() {
       .field("bitsliced_threads4_speedup", serial.seconds / sliced4.seconds)
       .field("lane_occupancy", occupancy)
       .field("lanes_retired_early", sliced.stats.lanesRetiredEarly)
-      .field("retirement_rate", retireRate)
-      .field("cone_skip_ratio", coneSkip);
+      .field("retirement_rate", retireRate);
   dump.write();
 }
 

@@ -10,10 +10,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/frmem_config.hpp"
+#include "faultsim/lanes.hpp"
 #include "memsys/workloads.hpp"
 #include "obs/json.hpp"
 
@@ -40,6 +42,17 @@ inline socfmea::memsys::ProtectionIpWorkload::Options workloadOptions(
   socfmea::memsys::ProtectionIpWorkload::Options o;
   o.cycles = cycles;
   return o;
+}
+
+/// The host a measurement was taken on: hardware threads, the SIMD target
+/// the bit-sliced engine resolves to at run time, and the CMake build type.
+inline socfmea::obs::Json hostJson() {
+  socfmea::obs::Json host = socfmea::obs::Json::object();
+  const std::uint64_t cores = std::thread::hardware_concurrency();
+  host["cores"] = socfmea::obs::Json(cores);
+  host["simd"] = socfmea::obs::Json(socfmea::faultsim::simdTargetName());
+  host["build"] = socfmea::obs::Json(SOCFMEA_BUILD_TYPE);
+  return host;
 }
 
 inline void banner(const char* experiment, const char* paperArtefact) {

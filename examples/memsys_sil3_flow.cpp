@@ -48,8 +48,10 @@ int usage(const char* argv0) {
                " (implies incremental mode)\n"
                "  --max-resim  fail (exit 3) when the campaign re-simulates"
                " more than this fraction\n"
-               "(all iteration flags imply the incremental flow-graph"
-               " mode)\n";
+               "(--cache-dir, --workers, --tier, --edit and --max-resim"
+               " imply the incremental\n"
+               " flow-graph mode; --engine applies to either mode, default"
+               " auto = serial)\n";
   return 2;
 }
 
@@ -206,6 +208,7 @@ int main(int argc, char** argv) {
 
   // Any of the iteration flags selects the incremental flow-graph mode; the
   // bare invocation below stays byte-identical for the CI metrics gate.
+  // --engine alone keeps the bare flow and picks its campaign engine.
   if (flags.anyIterationFlag() || edit != nullptr || maxResim >= 0.0) {
     return runIncremental(flags.jsonPath, flags.cacheDir,
                           edit ? edit : "none", maxResim, flags.workers,
@@ -236,6 +239,7 @@ int main(int argc, char** argv) {
   memsys::ProtectionIpWorkload workload(v2, wopt);
   core::ValidationOptions vopt;
   vopt.zoneFailuresPerBit = 1;
+  vopt.engine = flags.engine;
   const auto rep = core::runValidationFlow(flowV2, workload, vopt);
   core::printValidationFlow(std::cout, rep);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "faultsim/threaded.hpp"
 #include "inject/env_builder.hpp"
 
 namespace socfmea::core {
@@ -61,13 +62,15 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
       inject::OperationalProfile::record(db, workload);
   inject::ResultAnalyzer analyzer(db, effects);
   sim::Rng rng(opt.seed);
+  inject::CampaignOptions copt;
+  copt.engine = opt.engine;
 
   // ---- step (a): exhaustive sensible-zone failure injection -----------------
   {
     const fault::FaultList faults =
         mgr.zoneFailureFaults(profile, opt.zoneFailuresPerBit, opt.seed);
     inject::CoverageCollector cov(mgr.environment());
-    rep.zoneCampaign = mgr.run(workload, faults, &cov);
+    rep.zoneCampaign = mgr.run(workload, faults, &cov, copt);
     rep.zoneValidation =
         analyzer.validate(flow.sheet(), rep.zoneCampaign, opt.tolerance);
     rep.campaignCompleteness = cov.completeness();
@@ -110,7 +113,7 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     }
     const fault::FaultList randomized = inject::randomizeFaultList(
         db, profile, local, local.size(), opt.seed + 1);
-    rep.localCampaign = mgr.run(workload, randomized);
+    rep.localCampaign = mgr.run(workload, randomized, nullptr, copt);
     rep.localMeasuredSff = rep.localCampaign.measuredSff();
 
     // Fault simulator: permanent-fault coverage of the *diagnostic* (alarm
@@ -124,7 +127,8 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
     }
     faultsim::FaultSimOptions fsOpt;
     fsOpt.observedOutputs = alarmOutputs(nl, effects);
-    const auto fs = faultsim::runSerialFaultSim(nl, workload, stuckOnly, fsOpt);
+    fsOpt.engine = opt.engine;
+    const auto fs = faultsim::runFaultSim(nl, workload, stuckOnly, fsOpt);
     rep.faultSimCoverage = fs.coverage();
     rep.sheetPermanentDdf = permanentDdf(flow.sheet(), criticalScope);
 
@@ -163,9 +167,9 @@ ValidationFlowReport runValidationFlow(const FmeaFlow& flow,
         wide.push_back(f);
       }
     }
-    inject::CampaignOptions copt;
-    copt.earlyAbort = false;  // observe the full multiple-failure picture
-    rep.wideCampaign = mgr.run(workload, wide, nullptr, copt);
+    inject::CampaignOptions wideOpt = copt;
+    wideOpt.earlyAbort = false;  // observe the full multiple-failure picture
+    rep.wideCampaign = mgr.run(workload, wide, nullptr, wideOpt);
     for (const inject::InjectionRecord& r : rep.wideCampaign.records) {
       if (r.obs.zonesDeviated.size() > 1) ++rep.multiZoneFailures;
     }

@@ -35,6 +35,10 @@ struct ValidationOptions {
   /// Tolerance for measured-vs-estimated comparisons (percentage points).
   double tolerance = 0.20;
   std::uint64_t detectionWindow = 24;
+  /// Campaign engine for steps (a), (c) and (d) and for step (c)'s fault
+  /// simulation.  Verdicts are identical across engines; Auto runs the
+  /// serial oracle.
+  faultsim::EngineKind engine = faultsim::EngineKind::Auto;
 };
 
 struct ValidationFlowReport {

@@ -1,7 +1,6 @@
 #include "faultsim/bitsliced.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -141,7 +140,6 @@ class WordEngine {
     clones_.resize(mems);
     for (auto& c : clones_) c.resize(kLanes);
     laneFault_.assign(kLanes, kNoFault);
-    laneSeeds_.resize(kLanes);
     obs_.resize(kLanes);
   }
 
@@ -159,7 +157,6 @@ class WordEngine {
     rs_.stats->lanesRetiredEarly += stats_.lanesRetiredEarly;
     rs_.stats->lanesRefilled += stats_.lanesRefilled;
     rs_.stats->levelsEvaluated += stats_.levelsEvaluated;
-    rs_.stats->levelsSkipped += stats_.levelsSkipped;
     rs_.stats->checkpointHits += stats_.checkpointHits;
     rs_.stats->checkpointCyclesSkipped += stats_.checkpointCyclesSkipped;
     rs_.stats->convergedEarly += stats_.convergedEarly;
@@ -334,23 +331,10 @@ class WordEngine {
 
   void sweepPass1(std::span<const Logic> g) {
     const std::uint32_t levels = cd_.levelCount();
-    const bool haveCone = !cone_.levelLive.empty();
     for (std::uint32_t level = 0; level < levels; ++level) {
       auto& act = activeList_[level];
       auto& kicks = kickBucket_[level];
-      const bool live = !haveCone || cone_.levelLive[level] != 0;
-      if (act.empty() && kicks.empty()) {
-        if (live) {
-          ++stats_.levelsEvaluated;
-        } else {
-          ++stats_.levelsSkipped;
-        }
-        continue;
-      }
-      // Cone soundness: activity can only appear inside the union forward
-      // cone of the group's live lanes (plus kicked seed-net drivers, whose
-      // levels markLevels() pins live) — a non-live level is always idle.
-      assert(live);
+      if (act.empty() && kicks.empty()) continue;
       ++stats_.levelsEvaluated;
       for (std::size_t i = 0; i < act.size();) {
         const std::uint32_t pos = act[i];
@@ -425,7 +409,6 @@ class WordEngine {
     laneFault_[lane] = fi;
     live_.setBit(lane);
     obs_[lane] = LaneObservation{};
-    laneSeeds_[lane] = faultSeedNets(cd_, f);
     switch (f.kind) {
       case FaultKind::StuckAt0:
         addForce(f.net, lane, false);
@@ -904,8 +887,6 @@ class WordEngine {
     laneFault_[lane] = kNoFault;
     if (early) ++stats_.lanesRetiredEarly;
     if (washed) ++stats_.convergedEarly;
-    retiredSinceRebuild_ = std::min<unsigned>(retiredSinceRebuild_ + 1,
-                                              kLanes);
     (void)afterCycle;
   }
 
@@ -1000,23 +981,7 @@ class WordEngine {
       while (live_.bit(lane)) ++lane;
       installLane(lane, *fi);
       ++stats_.lanesRefilled;
-      if (retiredSinceRebuild_ * 2 >= kLanes) {
-        rebuildCone();
-      } else {
-        cone_.extend(cd_, laneSeeds_[lane]);
-      }
     }
-  }
-
-  void rebuildCone() {
-    std::vector<NetId> seeds;
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      if (!live_.bit(lane)) continue;
-      seeds.insert(seeds.end(), laneSeeds_[lane].begin(),
-                   laneSeeds_[lane].end());
-    }
-    cone_.rebuild(cd_, seeds);
-    retiredSinceRebuild_ = 0;
   }
 
   // ---- group lifecycle -----------------------------------------------------
@@ -1091,7 +1056,6 @@ class WordEngine {
     diagDone_ = Word::zero();
     laneFault_.assign(kLanes, kNoFault);
     refillExhausted_ = false;
-    retiredSinceRebuild_ = 0;
   }
 
   void runGroup(const std::vector<std::size_t>& group) {
@@ -1117,7 +1081,6 @@ class WordEngine {
     for (std::size_t i = 0; i < group.size(); ++i) {
       installLane(static_cast<unsigned>(i), group[i]);
     }
-    rebuildCone();
 
     for (std::uint64_t c = c0; c < rs_.cycles; ++c) {
       activateTransients(c);
@@ -1277,14 +1240,11 @@ class WordEngine {
   Word live_ = Word::zero();
   Word diagDone_ = Word::zero();
   std::vector<std::size_t> laneFault_;
-  std::vector<std::vector<NetId>> laneSeeds_;
   std::vector<LaneObservation> obs_;
   std::vector<BridgeLane> bridgeLanes_;
   std::vector<std::pair<unsigned, NetId>> pulseActive_;
   std::vector<Word> groupHit_;
   std::vector<Word> pointHit_;
-  ConeUnion cone_;
-  unsigned retiredSinceRebuild_ = 0;
   bool refillExhausted_ = false;
 };
 
@@ -1351,13 +1311,11 @@ BitslicedCampaign runCore(const fault::EngineContext& ctx, sim::Workload& wl,
   reg.add("faultsim.bitsliced.lanes_retired_early", stats.lanesRetiredEarly);
   reg.add("faultsim.bitsliced.lanes_refilled", stats.lanesRefilled);
   reg.add("faultsim.bitsliced.levels_evaluated", stats.levelsEvaluated);
-  reg.add("faultsim.bitsliced.levels_skipped", stats.levelsSkipped);
   reg.add("faultsim.bitsliced.checkpoint_hits", stats.checkpointHits);
   reg.add("faultsim.bitsliced.checkpoint_cycles_skipped",
           stats.checkpointCyclesSkipped);
   reg.add("faultsim.bitsliced.converged_early", stats.convergedEarly);
   reg.set("faultsim.bitsliced.lane_occupancy", stats.laneOccupancy());
-  reg.set("faultsim.bitsliced.cone_skip_ratio", stats.coneSkipRatio());
   reg.set("faultsim.bitsliced.simd_width",
           static_cast<double>(stats.laneWords) * 64.0);
   reg.set("faultsim.bitsliced.workers", static_cast<double>(stats.workers));

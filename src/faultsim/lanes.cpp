@@ -44,81 +44,6 @@ const char* simdTargetName() noexcept {
 #endif
 }
 
-std::vector<netlist::NetId> faultSeedNets(const netlist::CompiledDesign& cd,
-                                          const fault::Fault& f) {
-  using fault::FaultKind;
-  std::vector<netlist::NetId> seeds;
-  const auto push = [&](netlist::NetId n) {
-    if (n != netlist::kNoNet) seeds.push_back(n);
-  };
-  switch (f.kind) {
-    case FaultKind::StuckAt0:
-    case FaultKind::StuckAt1:
-    case FaultKind::SetPulse:
-      push(f.net);
-      break;
-    case FaultKind::BridgeAnd:
-    case FaultKind::BridgeOr:
-      push(f.net);
-      push(f.net2);
-      break;
-    case FaultKind::SeuFlip:
-    case FaultKind::DelayStale:
-      if (f.cell != netlist::kNoCell && f.cell < cd.cellCount()) {
-        push(cd.cellOutput(f.cell));
-      }
-      push(f.net);  // fault lists often carry the Q net here too
-      break;
-    case FaultKind::MemStuckBit:
-    case FaultKind::MemAddrNone:
-    case FaultKind::MemAddrWrong:
-    case FaultKind::MemAddrMulti:
-    case FaultKind::MemCoupling:
-    case FaultKind::MemSoftError:
-      if (f.mem < cd.design().memoryCount()) {
-        for (const netlist::NetId r : cd.design().memory(f.mem).rdata) {
-          push(r);
-        }
-      }
-      break;
-    case FaultKind::MultiSeu:
-      for (const netlist::CellId c : f.cells) {
-        if (c != netlist::kNoCell && c < cd.cellCount()) {
-          push(cd.cellOutput(c));
-        }
-      }
-      break;
-  }
-  return seeds;
-}
-
-void ConeUnion::rebuild(const netlist::CompiledDesign& cd,
-                        const std::vector<netlist::NetId>& seeds) {
-  reach = netlist::forwardReach(cd, seeds);
-  levelLive.assign(cd.levelCount(), 0);
-  markLevels(cd);
-}
-
-void ConeUnion::extend(const netlist::CompiledDesign& cd,
-                       const std::vector<netlist::NetId>& seeds) {
-  netlist::extendForwardReach(cd, reach, seeds);
-  markLevels(cd);
-}
-
-void ConeUnion::markLevels(const netlist::CompiledDesign& cd) {
-  // The sweep must also evaluate the *drivers* of seed nets (a released SET
-  // pulse or a re-resolved bridge net re-derives its value from the driver,
-  // which sits upstream of the cone proper), so mark the level of every
-  // comb cell that drives a reached net as well as every reached cell.
-  for (std::uint32_t pos = 0; pos < cd.combCount(); ++pos) {
-    if (levelLive[cd.combLevel(pos)] != 0) continue;
-    if (reach.cellReached(cd.combCell(pos)) ||
-        reach.netReached(cd.combOutput(pos))) {
-      levelLive[cd.combLevel(pos)] = 1;
-    }
-  }
-}
-
 LaneScheduler::LaneScheduler(const fault::FaultList& faults)
     : faults_(&faults) {
   order_.resize(faults.size());

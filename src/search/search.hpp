@@ -41,7 +41,10 @@ struct SearchOptions {
   /// Fan candidate campaigns out over worker processes (serve layer).
   unsigned workers = 1;
   inject::TierOptions tier;
-  faultsim::EngineKind engine = faultsim::EngineKind::Auto;
+  /// Campaign engine for every candidate evaluation and for the winner's
+  /// cold-flat verify.  The search never injects latent faults, so the
+  /// bit-sliced engine covers it; Serial selects the reference oracle.
+  faultsim::EngineKind engine = faultsim::EngineKind::Bitsliced;
   /// Campaign shape — kept identical to examples/memsys_sil3_flow so the
   /// store can be shared between the CLI flows and the search.
   std::size_t perBit = 1;

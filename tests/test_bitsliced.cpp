@@ -1,7 +1,7 @@
 // Tests for the bit-sliced fault-parallel engine (faultsim/bitsliced.*,
 // faultsim/lanes.*): BitWord pack/unpack algebra, the lane scheduler's
-// permanents-first ordering and refill contract, cone-bounded level
-// skipping, per-fault-kind divergence agreement with the serial oracle on a
+// permanents-first ordering and refill contract, the activity-driven level
+// sweep, per-fault-kind divergence agreement with the serial oracle on a
 // design with flip-flops and a behavioural memory, lane retirement / refill
 // invariants, campaign-record equality on the memsys protection IP, and a
 // 200-design random-property sweep over the full fault model.
@@ -21,6 +21,7 @@
 #include "memsys/gatelevel.hpp"
 #include "memsys/workloads.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/compiled.hpp"
 #include "sim/rng.hpp"
 #include "testkit/netlist_gen.hpp"
 #include "testkit/plan.hpp"
@@ -420,13 +421,13 @@ TEST(BitslicedRetireTest, TransientsWashOutAndConverge) {
 }
 
 // ---------------------------------------------------------------------------
-// cone-bounded activity
+// activity-driven level sweep
 // ---------------------------------------------------------------------------
 
-TEST(BitslicedConeTest, DeepFaultSkipsDeadLevelsWithoutChangingVerdicts) {
+TEST(BitslicedActivityTest, DeepFaultWorksOnlyItsDownstreamLevels) {
   // A long inverter chain: a fault near the output end can never disturb
-  // the early levels, so the cone bound must skip them — and the verdict
-  // must still match the serial oracle exactly.
+  // the early levels, so the event-driven sweep must leave them idle — and
+  // the verdict must still match the serial oracle exactly.
   nl::Netlist n{"chain"};
   nl::Builder bl(n);
   const auto rst = bl.input("rst");
@@ -434,7 +435,9 @@ TEST(BitslicedConeTest, DeepFaultSkipsDeadLevelsWithoutChangingVerdicts) {
   const auto a = bl.input("a");
   nl::NetId cur = a;
   std::vector<nl::NetId> taps;
-  for (int i = 0; i < 40; ++i) {
+  constexpr int kChain = 40;
+  constexpr int kTap = 35;
+  for (int i = 0; i < kChain; ++i) {
     cur = bl.bnot(cur);
     taps.push_back(cur);
   }
@@ -445,7 +448,7 @@ TEST(BitslicedConeTest, DeepFaultSkipsDeadLevelsWithoutChangingVerdicts) {
   ft::FaultList faults;
   ft::Fault f;
   f.kind = ft::FaultKind::StuckAt1;
-  f.net = taps[35];  // deep in the chain
+  f.net = taps[kTap];  // deep in the chain
   faults.push_back(f);
 
   const auto serial = fs::runSerialFaultSim(n, wl, faults);
@@ -456,9 +459,15 @@ TEST(BitslicedConeTest, DeepFaultSkipsDeadLevelsWithoutChangingVerdicts) {
   const auto sliced = fs::runBitslicedFaultSim(n, wl, faults, opt, &stats);
   expectVerdictsEqual(n, faults, serialFull, sliced);
   EXPECT_EQ(serial.detected, sliced.detected);
-  EXPECT_GT(stats.levelsSkipped, 0u);
-  EXPECT_GT(stats.coneSkipRatio(), 0.0);
-  EXPECT_LT(stats.coneSkipRatio(), 1.0);
+
+  // Work bound: per cycle, only the forced net's driver and the inverters
+  // downstream of it can hold work, far fewer than a full level sweep.
+  ASSERT_GT(stats.wordCycles, 0u);
+  EXPECT_GT(stats.levelsEvaluated, 0u);
+  const std::uint64_t downstream = kChain - kTap;
+  EXPECT_LE(stats.levelsEvaluated, stats.wordCycles * downstream);
+  EXPECT_LT(stats.levelsEvaluated * 4,
+            stats.wordCycles * nl::compile(n)->levelCount());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/cli_common.hpp"
@@ -57,6 +58,24 @@ TEST(CliCommon, JsonAloneIsNotAnIterationFlag) {
   const ParseRun run = parseAll({"--json", "out.json"});
   EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Consumed);
   EXPECT_FALSE(run.flags.anyIterationFlag());
+}
+
+TEST(CliCommon, EngineAloneIsNotAnIterationFlag) {
+  // --engine picks the campaign engine of whichever flow runs; it must not
+  // switch memsys_sil3_flow from the bare paper flow to the incremental one.
+  const ParseRun run = parseAll({"--engine", "bitsliced", "--json", "o.json"});
+  for (const cli::FlagStatus st : run.statuses) {
+    EXPECT_EQ(st, cli::FlagStatus::Consumed);
+  }
+  EXPECT_TRUE(run.flags.engineSet);
+  EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Bitsliced);
+  EXPECT_FALSE(run.flags.anyIterationFlag());
+  const std::vector<std::pair<const char*, const char*>> iterationFlags = {
+      {"--cache-dir", "/tmp/s"}, {"--workers", "2"}, {"--tier", "exact"}};
+  for (const auto& [flag, value] : iterationFlags) {
+    const ParseRun with = parseAll({"--engine", "serial", flag, value});
+    EXPECT_TRUE(with.flags.anyIterationFlag()) << flag;
+  }
 }
 
 TEST(CliCommon, UnknownFlagIsLeftToTheCaller) {

@@ -39,7 +39,9 @@ int usage(const char* argv0) {
                "  --rounds     beam-search round cap (default 16)\n"
                "  --beam       beam width (default 3)\n"
                "  --no-verify  skip the final cold flat bit-identity"
-               " re-run\n";
+               " re-run\n"
+               "(--engine defaults to bitsliced here; --engine serial runs"
+               " the reference oracle)\n";
   return 2;
 }
 
@@ -124,7 +126,7 @@ int main(int argc, char** argv) {
   sopt.candidatesPerRound = candidates;
   sopt.workers = flags.workers;
   sopt.tier.mode = flags.tier;
-  sopt.engine = flags.engine;
+  if (flags.engineSet) sopt.engine = flags.engine;
   sopt.verifyFinal = verify;
   sopt.log = [](const std::string& line) { std::cout << line << "\n"; };
 

@@ -28,10 +28,11 @@ struct CommonFlags {
   bool engineSet = false;
   bool tierSet = false;
 
-  /// Any shared flag besides --json was given (the tools use this to switch
-  /// into their incremental / store-backed mode).
+  /// A shared flag that only the incremental / store-backed mode honours
+  /// was given (the tools use this to switch into that mode).  --json and
+  /// --engine apply to either mode, so neither counts.
   [[nodiscard]] bool anyIterationFlag() const noexcept {
-    return cacheDir != nullptr || workers > 0 || engineSet || tierSet;
+    return cacheDir != nullptr || workers > 0 || tierSet;
   }
 };
 
