@@ -2,7 +2,7 @@
 //
 //   cpu_mitigation_flow [--scenario <name>] [--json <path>] [--records]
 //                       [--tier exact|abstract|auto] [--engine
-//                       serial|threaded|bitsliced|auto] [--workers <W>]
+//                       serial|bitsliced] [--workers <W>]
 //                       [--per-bit <N>] [--seed <S>]
 //
 // Runs every scenario of cpu::scenarios::all() (or just --scenario) through
@@ -11,7 +11,8 @@
 // SFF/DC/SIL next to the measured SFF/DDF of each mitigation, all against
 // the unprotected baseline.  --workers >= 2 shards the campaign over worker
 // processes (this binary re-exec'd with --serve-worker); --records dumps
-// every injection record for cross-engine debugging.
+// every injection record for cross-engine debugging.  A malformed value
+// (unknown engine/tier, --per-bit 0, a non-numeric count or seed) exits 2.
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -23,7 +24,9 @@
 #include "cpu/scenarios.hpp"
 #include "fault/fault.hpp"
 #include "fmea/iec61508.hpp"
+#include "serve/job.hpp"
 #include "serve/worker.hpp"
+#include "tools/cli_common.hpp"
 
 using namespace socfmea;
 namespace sc = cpu::scenarios;
@@ -42,9 +45,12 @@ struct Args {
   std::cerr << "usage: cpu_mitigation_flow [--scenario <name>] [--json <path>]"
                " [--records]\n"
                "                           [--tier exact|abstract|auto]"
-               " [--engine serial|threaded|bitsliced|auto]\n"
+               " [--engine serial|bitsliced]\n"
                "                           [--workers <W>] [--per-bit <N>]"
                " [--seed <S>]\n"
+               "  --engine   campaign engine (default serial)\n"
+               "  --per-bit  faults per zone bit, >= 1 (default 2)\n"
+               "  --seed     64-bit fault-sampling seed (default 8)\n"
                "scenarios:";
   for (const auto& s : sc::all()) std::cerr << " " << s.name;
   std::cerr << "\n";
@@ -70,25 +76,23 @@ Args parseArgs(int argc, char** argv) {
       if (!m) usage("unknown tier mode (exact|abstract|auto)");
       a.run.tier = *m;
     } else if (arg == "--engine") {
-      const std::string e = value(i);
-      if (e == "serial") {
-        a.run.campaign.engine = faultsim::EngineKind::Serial;
-      } else if (e == "threaded") {
-        a.run.campaign.engine = faultsim::EngineKind::Threaded;
-      } else if (e == "bitsliced") {
-        a.run.campaign.engine = faultsim::EngineKind::Bitsliced;
-      } else if (e == "auto") {
-        a.run.campaign.engine = faultsim::EngineKind::Auto;
-      } else {
-        usage("unknown engine (serial|threaded|bitsliced|auto)");
-      }
+      const auto k = serve::engineKindFromName(value(i));
+      if (!k) usage("unknown engine (serial|bitsliced)");
+      a.run.campaign.engine = *k;
     } else if (arg == "--workers") {
-      a.run.workers =
-          static_cast<unsigned>(std::strtoul(value(i).c_str(), nullptr, 0));
+      if (!cli::parseUnsigned(value(i).c_str(), a.run.workers)) {
+        usage("--workers needs an unsigned count");
+      }
     } else if (arg == "--per-bit") {
-      a.run.perBit = std::strtoull(value(i).c_str(), nullptr, 0);
+      unsigned perBit = 0;
+      if (!cli::parseUnsigned(value(i).c_str(), perBit) || perBit == 0) {
+        usage("--per-bit needs a count >= 1");
+      }
+      a.run.perBit = perBit;
     } else if (arg == "--seed") {
-      a.run.seed = std::strtoull(value(i).c_str(), nullptr, 0);
+      if (!cli::parseUnsigned64(value(i).c_str(), a.run.seed)) {
+        usage("--seed needs an unsigned 64-bit integer");
+      }
     } else if (arg == "--help" || arg == "-h") {
       usage();
     } else {

@@ -51,7 +51,7 @@ int usage(const char* argv0) {
                "(--cache-dir, --workers, --tier, --edit and --max-resim"
                " imply the incremental\n"
                " flow-graph mode; --engine applies to either mode, default"
-               " auto = serial)\n";
+               " serial)\n";
   return 2;
 }
 

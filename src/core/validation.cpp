@@ -4,7 +4,7 @@
 #include <cmath>
 #include <ostream>
 
-#include "faultsim/threaded.hpp"
+#include "faultsim/serial.hpp"
 #include "inject/env_builder.hpp"
 
 namespace socfmea::core {

@@ -36,9 +36,8 @@ struct ValidationOptions {
   double tolerance = 0.20;
   std::uint64_t detectionWindow = 24;
   /// Campaign engine for steps (a), (c) and (d) and for step (c)'s fault
-  /// simulation.  Verdicts are identical across engines; Auto runs the
-  /// serial oracle.
-  faultsim::EngineKind engine = faultsim::EngineKind::Auto;
+  /// simulation.  Verdicts are identical across engines.
+  faultsim::EngineKind engine = faultsim::EngineKind::Serial;
 };
 
 struct ValidationFlowReport {

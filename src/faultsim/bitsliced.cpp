@@ -69,8 +69,8 @@ struct RunShared {
 
 /// Records the golden machine's periodic full-state checkpoints with one
 /// fault-free replay of the recorded stimulus.  snaps[i] is the state at the
-/// top of cycle i*interval (before that cycle's inputs are driven) — the
-/// same instant the threaded campaign engine's golden recorder snapshots.
+/// top of cycle i*interval (before that cycle's inputs are driven), where a
+/// word group forked from it resumes.
 std::vector<sim::Simulator::Snapshot> recordCheckpoints(const RunShared& rs) {
   sim::Simulator sim(rs.cdp);
   sim.setEvalMode(rs.evalMode);
@@ -892,8 +892,7 @@ class WordEngine {
 
   /// A spent transient lane whose divergence is zero everywhere and whose
   /// owned memories equal the golden arrays replays the golden run from
-  /// here on — its verdict is final (the threaded engine's convergence
-  /// drop, word-wide).
+  /// here on — its verdict is final (a word-wide convergence drop).
   void washoutCheck(std::uint64_t c) {
     Word candidates = Word::zero();
     for (unsigned lane = 0; lane < kLanes; ++lane) {

@@ -25,10 +25,9 @@
 // engine *verifies* the golden machine is X-free at every group start and
 // throws std::invalid_argument otherwise.
 //
-// A further contract inherited from the threaded engine: workload
-// backdoor() actions must only mutate memories (the in-tree workloads do);
-// the engine replays them on the golden machine and mirrors the memory
-// deltas into lane-owned clones.
+// A further contract on the workload: backdoor() actions must only mutate
+// memories (the in-tree workloads do); the engine replays them on the
+// golden machine and mirrors the memory deltas into lane-owned clones.
 //
 // Activity is bounded by the event-driven sweep: only cells with at least
 // one touched (divergent or forced) input net re-evaluate, and a level with

@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "faultsim/bitsliced.hpp"
 #include "obs/telemetry.hpp"
 
 namespace socfmea::faultsim {
@@ -18,9 +19,7 @@ std::vector<netlist::CellId> resolveOutputs(const netlist::Netlist& nl,
 
 std::string_view engineKindName(EngineKind k) noexcept {
   switch (k) {
-    case EngineKind::Auto: return "auto";
     case EngineKind::Serial: return "serial";
-    case EngineKind::Threaded: return "threaded";
     case EngineKind::Bitsliced: return "bitsliced";
   }
   return "?";
@@ -123,6 +122,22 @@ FaultSimResult runSerialFaultSim(const fault::EngineContext& ctx,
   reg.add("faultsim.serial.cycles", res.simulatedCycles);
   reg.add("faultsim.detected", res.detected);
   return res;
+}
+
+FaultSimResult runFaultSim(const netlist::Netlist& nl, sim::Workload& wl,
+                           const fault::FaultList& faults,
+                           const FaultSimOptions& opt) {
+  const fault::EngineContext ctx(nl);
+  return runFaultSim(ctx, wl, faults, opt);
+}
+
+FaultSimResult runFaultSim(const fault::EngineContext& ctx, sim::Workload& wl,
+                           const fault::FaultList& faults,
+                           const FaultSimOptions& opt) {
+  if (opt.engine == EngineKind::Bitsliced) {
+    return runBitslicedFaultSim(ctx, wl, faults, opt);
+  }
+  return runSerialFaultSim(ctx, wl, faults, opt);
 }
 
 void printFaultSim(std::ostream& out, const FaultSimResult& r) {

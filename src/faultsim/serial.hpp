@@ -23,21 +23,19 @@ enum class FaultOutcome : std::uint8_t {
   Undetected,  ///< ran the full workload without divergence
 };
 
-/// Which fault-simulation engine a campaign layer dispatches to.  Every
-/// engine produces bit-identical verdicts and tallies (CI-tested); they
+/// Which fault-simulation engine a campaign layer dispatches to.  Both
+/// engines produce bit-identical verdicts and tallies (CI-tested); they
 /// differ only in throughput and in which execution counters they fill.
 enum class EngineKind : std::uint8_t {
-  /// Threaded when opt.threads != 1, otherwise the serial oracle.
-  Auto,
   /// One faulty machine at a time — the reference oracle.
   Serial,
-  /// Checkpoint-forking worker pool, one whole machine per fault.
-  Threaded,
   /// Bit-sliced fault-parallel engine: 64 faulty machines per word-lane
   /// group, evaluated in lockstep as divergence against a golden machine.
   Bitsliced,
 };
 
+/// "serial" / "bitsliced" — the one spelling used by the CLIs' --engine
+/// flag and the worker job protocol (serve::engineKindFromName).
 [[nodiscard]] std::string_view engineKindName(EngineKind k) noexcept;
 
 struct FaultSimResult {
@@ -46,12 +44,12 @@ struct FaultSimResult {
   std::vector<FaultOutcome> outcomes;  ///< parallel to the input fault list
   std::uint64_t simulatedCycles = 0;   ///< total cycles across all machines
   /// Machines forked from a golden checkpoint later than cycle 0 and the
-  /// fault-free prefix cycles that skipping saved (threaded engine only;
+  /// fault-free prefix cycles that skipping saved (bit-sliced engine only;
   /// the serial oracle never checkpoints).
   std::uint64_t checkpointHits = 0;
   std::uint64_t checkpointCyclesSkipped = 0;
   /// Transient faults dropped early because the faulty machine's state
-  /// reconverged with the golden run (threaded engine only).
+  /// reconverged with the golden run (bit-sliced engine only).
   std::uint64_t convergedEarly = 0;
 
   [[nodiscard]] double coverage() const noexcept {
@@ -66,21 +64,20 @@ struct FaultSimOptions {
   /// Stop a faulty machine at first divergence (classic fault-sim early
   /// abort); disable to count divergence cycles.
   bool earlyAbort = true;
-  /// Engine selection for runFaultSim.  Auto keeps the historical
-  /// behaviour (threads decides); Bitsliced packs 64*laneWords machines
-  /// per word group.  Verdicts are bit-identical across engines.
-  EngineKind engine = EngineKind::Auto;
+  /// Engine selection for runFaultSim.  Bitsliced packs 64*laneWords
+  /// machines per word group.  Verdicts are bit-identical across engines.
+  EngineKind engine = EngineKind::Serial;
   /// Bit-sliced lane width in 64-bit words per net (1/2/4 = 64/128/256
   /// lanes); 0 picks the widest the build's SIMD target supports
   /// (overridable at run time with SOCFMEA_NO_SIMD=1).  Ignored by the
-  /// other engines.
+  /// serial engine.
   unsigned laneWords = 0;
-  /// runFaultSim parallelism: 1 = the serial engine below (the reference
-  /// oracle), 0 = hardware concurrency, N = N workers.  Verdicts are
-  /// bit-identical regardless of the value.
+  /// Bit-sliced worker threads (one word group per pool task): 0 =
+  /// hardware concurrency, N = N workers.  The serial engine ignores it.
+  /// Verdicts are bit-identical regardless of the value.
   unsigned threads = 1;
-  /// Golden-checkpoint spacing for the threaded engine; 0 picks
-  /// max(1, workloadCycles / 16).  Ignored when threads = 1.
+  /// Bit-sliced golden-checkpoint spacing; 0 picks
+  /// max(1, workloadCycles / 16).  The serial engine ignores it.
   std::uint64_t checkpointInterval = 0;
   /// Combinational evaluation strategy for every machine in the campaign.
   /// Both settle to bit-identical values; FullSettle is the ablation
@@ -117,6 +114,21 @@ struct GoldenTrace {
                                                sim::Workload& wl,
                                                const fault::FaultList& faults,
                                                const FaultSimOptions& opt = {});
+
+/// Runs the fault list on opt.engine: the serial oracle above or the
+/// bit-sliced engine (faultsim/bitsliced.hpp).  Verdicts are bit-identical
+/// across engines.
+[[nodiscard]] FaultSimResult runFaultSim(const netlist::Netlist& nl,
+                                         sim::Workload& wl,
+                                         const fault::FaultList& faults,
+                                         const FaultSimOptions& opt = {});
+
+/// EngineContext form: the golden recorder and every faulty machine share
+/// the context's compiled design instead of re-levelizing the netlist.
+[[nodiscard]] FaultSimResult runFaultSim(const fault::EngineContext& ctx,
+                                         sim::Workload& wl,
+                                         const fault::FaultList& faults,
+                                         const FaultSimOptions& opt = {});
 
 void printFaultSim(std::ostream& out, const FaultSimResult& r);
 

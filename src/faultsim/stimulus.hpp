@@ -2,8 +2,7 @@
 // workload drives per cycle, and every campaign engine replays the recording
 // (plus the workload's deterministic backdoor actions) instead of calling
 // drive() per faulty machine — drive() may mutate workload state, replay may
-// not.  Shared by the threaded and bit-sliced engines and the injection
-// manager.
+// not.  Shared by the bit-sliced engine and the injection manager.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <stdexcept>
 
 namespace socfmea::inject {
 
@@ -31,24 +30,6 @@ void CoverageCollector::account(const InjectionObservation& obs) {
   for (zones::ObsId p : obs.obsDeviated) {
     if (p < obsCount_.size()) ++obsCount_[p];
   }
-}
-
-void CoverageCollector::merge(const CoverageCollector& other) {
-  if (other.sensCount_.size() != sensCount_.size() ||
-      other.obsCount_.size() != obsCount_.size()) {
-    throw std::invalid_argument(
-        "merging coverage collectors from different environments");
-  }
-  for (std::size_t i = 0; i < sensCount_.size(); ++i) {
-    sensCount_[i] += other.sensCount_[i];
-  }
-  for (std::size_t i = 0; i < obsCount_.size(); ++i) {
-    obsCount_[i] += other.obsCount_[i];
-  }
-  injections_ += other.injections_;
-  mismatches_ += other.mismatches_;
-  sensEvents_ += other.sensEvents_;
-  diagEvents_ += other.diagEvents_;
 }
 
 double CoverageCollector::sensCoverage() const {

@@ -66,13 +66,13 @@ struct CampaignResult {
   std::uint64_t cyclesSimulated = 0;
   /// Faults forked from a golden checkpoint later than cycle 0, and the
   /// fault-free prefix cycles that forking skipped.  Zero under the serial
-  /// reference engine (threads = 1), which never checkpoints.
+  /// reference engine, which never checkpoints.
   std::uint64_t checkpointHits = 0;
   std::uint64_t checkpointCyclesSkipped = 0;
   /// Transient faults dropped before the workload's end because the faulty
-  /// machine's state reconverged with the golden checkpoint (fault washed
-  /// out, e.g. corrected by ECC) — the rest of the run is provably
-  /// identical, so the verdict is final.  Parallel engine only.
+  /// machine's state reconverged with the golden run (fault washed out,
+  /// e.g. corrected by ECC) — the rest of the run is provably identical,
+  /// so the verdict is final.  Bit-sliced engine only.
   std::uint64_t convergedEarly = 0;
 
   /// Single-pass aggregation of every outcome count and latency statistic.
@@ -105,8 +105,8 @@ struct CampaignResult {
 
   /// Structured export in two sections:
   ///   "metrics"   — outcome tally and every measured IEC figure; identical
-  ///                 between the serial oracle and the parallel engine for
-  ///                 the same fault list (that identity is CI-tested);
+  ///                 between the serial oracle and the bit-sliced engine
+  ///                 for the same fault list (that identity is CI-tested);
   ///   "execution" — cycles simulated, checkpoint and convergence counters,
   ///                 which legitimately depend on the engine and thread
   ///                 count and are therefore excluded from golden diffs.
@@ -129,29 +129,28 @@ struct CampaignOptions {
   /// has already defeated part of the diagnostics — the reason the norm
   /// demands latent-fault tests at HFT 0.
   std::optional<fault::Fault> preexisting;
-  /// Campaign engine.  Auto keeps the historical behaviour (threads
-  /// decides between the serial oracle and the checkpoint-forking worker
-  /// pool); Bitsliced packs 64*laneWords faulty machines per SIMD word
-  /// group (faultsim/bitsliced.hpp) and composes with threads (one word
-  /// group per pool task).  Records and every IEC metric are bit-identical
-  /// across engines; only the "execution" counters differ.  The bit-sliced
-  /// engine rejects `preexisting` (latent faults) with
+  /// Campaign engine: the serial oracle (one faulty machine at a time), or
+  /// Bitsliced, which packs 64*laneWords faulty machines per SIMD word
+  /// group (faultsim/bitsliced.hpp).  Records and every IEC metric are
+  /// bit-identical across engines; only the "execution" counters differ.
+  /// The bit-sliced engine rejects `preexisting` (latent faults) with
   /// std::invalid_argument.  `engine` and `laneWords` are deliberately
   /// excluded from the incremental flow's campaign-options hash
   /// (core/incremental.cpp) — switching engines must not invalidate cached
   /// campaign records, precisely because the records are identical.
-  faultsim::EngineKind engine = faultsim::EngineKind::Auto;
+  faultsim::EngineKind engine = faultsim::EngineKind::Serial;
   /// Bit-sliced lane width in 64-bit words per net (1/2/4 = 64/128/256
   /// lanes); 0 picks the widest the build's SIMD target supports
-  /// (SOCFMEA_NO_SIMD=1 forces 1 at run time).  Other engines ignore it.
+  /// (SOCFMEA_NO_SIMD=1 forces 1 at run time).  The serial engine ignores
+  /// it.
   unsigned laneWords = 0;
-  /// Campaign parallelism: 1 = the legacy serial engine (the reference
-  /// oracle, no checkpointing), 0 = hardware concurrency, N = N workers.
+  /// Bit-sliced worker threads (one word group per pool task): 0 =
+  /// hardware concurrency, N = N workers.  The serial engine ignores it.
   /// Records and every IEC metric are bit-identical regardless of the
   /// value; only cyclesSimulated / checkpoint stats differ.
   unsigned threads = 1;
-  /// Golden-checkpoint spacing for the parallel engine; 0 picks
-  /// max(1, workloadCycles / 16).  Ignored when threads = 1.
+  /// Bit-sliced golden-checkpoint spacing; 0 picks
+  /// max(1, workloadCycles / 16).  The serial engine ignores it.
   std::uint64_t checkpointInterval = 0;
   /// Combinational evaluation strategy for every machine in the campaign
   /// (golden recorder and faulty replicas alike).  EventDriven re-settles
@@ -178,14 +177,9 @@ class InjectionManager {
     return *cd_;
   }
 
-  /// Runs the campaign; `coverage`, when non-null, accumulates the
-  /// completeness counters.  With opt.threads != 1 the campaign fans out
-  /// over a thread pool: every worker owns its own Simulator, FaultHarness
-  /// and LockstepMonitors, faulty machines fork from the golden checkpoint
-  /// nearest below their fault's first active cycle, records land in a
-  /// pre-sized vector by fault index, and per-worker coverage collectors
-  /// are merged at the end — so the result is bit-identical to the serial
-  /// engine regardless of thread count.
+  /// Runs the campaign on opt.engine; `coverage`, when non-null,
+  /// accumulates the completeness counters.  Records are in fault-list
+  /// order and bit-identical across engines and thread counts.
   [[nodiscard]] CampaignResult run(sim::Workload& wl,
                                    const fault::FaultList& faults,
                                    CoverageCollector* coverage = nullptr,
@@ -200,11 +194,6 @@ class InjectionManager {
       std::uint64_t seed) const;
 
  private:
-  [[nodiscard]] CampaignResult runParallel(sim::Workload& wl,
-                                           const fault::FaultList& faults,
-                                           CoverageCollector* coverage,
-                                           const CampaignOptions& opt);
-
   /// Bit-sliced fault-parallel campaign: builds a LaneWatch from the
   /// environment (target-zone net groups, observation nets, alarm nets),
   /// runs faultsim::runBitslicedWatch and maps the lane observations back

@@ -1,6 +1,5 @@
 #include "inject/monitors.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace socfmea::inject {
@@ -81,19 +80,10 @@ void LockstepMonitors::observe(const sim::Simulator& faulty,
 }
 
 GoldenReference recordGoldenReference(
-    const netlist::Netlist& nl, const InjectionEnvironment& env,
-    sim::Workload& wl, const std::vector<netlist::NetId>& stimInputs,
-    const std::vector<std::vector<bool>>& stimValues,
-    GoldenCheckpoints* checkpoints) {
-  return recordGoldenReference(netlist::compile(nl), env, wl, stimInputs,
-                               stimValues, checkpoints);
-}
-
-GoldenReference recordGoldenReference(
     netlist::CompiledDesignPtr cd, const InjectionEnvironment& env,
     sim::Workload& wl, const std::vector<netlist::NetId>& stimInputs,
     const std::vector<std::vector<bool>>& stimValues,
-    GoldenCheckpoints* checkpoints, sim::EvalMode evalMode) {
+    sim::EvalMode evalMode) {
   GoldenReference g;
   g.cycles = stimValues.size();
   g.zoneSnaps.assign(env.targetZones.size(), {});
@@ -105,19 +95,8 @@ GoldenReference recordGoldenReference(
   sim.setEvalMode(evalMode);
   wl.restart();
   sim.reset();
-  if (checkpoints != nullptr) {
-    if (checkpoints->interval == 0) {
-      checkpoints->interval = std::max<std::uint64_t>(1, g.cycles / 16);
-    }
-    checkpoints->snaps.clear();
-  }
   const auto& db = *env.zones;
   for (std::uint64_t c = 0; c < g.cycles; ++c) {
-    if (checkpoints != nullptr && c % checkpoints->interval == 0) {
-      // State at the *top* of cycle c: after c clock edges, before this
-      // cycle's inputs — exactly where a forked faulty machine resumes.
-      checkpoints->snaps.push_back(sim.snapshot());
-    }
     for (std::size_t i = 0; i < stimInputs.size(); ++i) {
       sim.setInput(stimInputs[i], sim::fromBool(stimValues[c][i]));
     }
@@ -130,9 +109,6 @@ GoldenReference recordGoldenReference(
     g.obsSnaps.push_back(packNets(sim, env.obsNets));
     g.alarmSnaps.push_back(packNets(sim, env.alarmNets));
     sim.clockEdge();
-  }
-  if (checkpoints != nullptr && checkpoints->snaps.empty()) {
-    checkpoints->snaps.push_back(sim.snapshot());  // zero-cycle stimulus
   }
   return g;
 }

@@ -433,7 +433,6 @@ std::vector<faultsim::FaultOutcome> runShardedFaultSim(
       }
     }
     fsOpt.engine = faultsim::EngineKind::Serial;
-    fsOpt.threads = 1;
     // The workload spec is replayed exactly as a worker would replay it.
     const obs::Json* spec = job.find("workload");
     if (spec == nullptr) {

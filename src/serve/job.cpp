@@ -214,8 +214,7 @@ std::optional<sim::EvalMode> evalModeFromName(std::string_view n) noexcept {
 std::optional<faultsim::EngineKind> engineKindFromName(
     std::string_view n) noexcept {
   for (const faultsim::EngineKind k :
-       {faultsim::EngineKind::Auto, faultsim::EngineKind::Serial,
-        faultsim::EngineKind::Threaded, faultsim::EngineKind::Bitsliced}) {
+       {faultsim::EngineKind::Serial, faultsim::EngineKind::Bitsliced}) {
     if (faultsim::engineKindName(k) == n) return k;
   }
   return std::nullopt;

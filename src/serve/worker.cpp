@@ -244,15 +244,17 @@ bool buildContext(const obs::Json& job, WorkerContext& cx,
       cx.copt.earlyAbort = msgBool(*c, "early_abort", true);
       cx.copt.drainCycles =
           static_cast<std::uint64_t>(msgInt(*c, "drain", 0));
-      if (const std::optional<faultsim::EngineKind> k =
-              engineKindFromName(msgString(*c, "engine", "auto"))) {
-        cx.copt.engine = *k;
+      const std::string engine = msgString(*c, "engine", "serial");
+      const std::optional<faultsim::EngineKind> k = engineKindFromName(engine);
+      if (!k) {
+        error = "unknown campaign engine: " + engine;
+        return false;
       }
+      cx.copt.engine = *k;
       cx.copt.laneWords =
           static_cast<unsigned>(msgInt(*c, "lane_words", 0));
-      // A worker is one shard of a multi-process fan-out: it runs its
-      // chunks on the serial reference engine unless the job explicitly
-      // asks for in-process parallelism on top.
+      // A worker is one shard of a multi-process fan-out: one bit-sliced
+      // worker thread unless the job explicitly asks for more on top.
       cx.copt.threads = static_cast<unsigned>(msgInt(*c, "threads", 1));
       cx.copt.checkpointInterval =
           static_cast<std::uint64_t>(msgInt(*c, "checkpoint_interval", 0));
@@ -289,7 +291,6 @@ bool buildContext(const obs::Json& job, WorkerContext& cx,
       }
     }
     cx.fsOpt.engine = faultsim::EngineKind::Serial;
-    cx.fsOpt.threads = 1;
     return buildWorkload(job, cx, error);
   }
   error = "unknown job kind: " + kind;

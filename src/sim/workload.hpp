@@ -32,7 +32,7 @@ class Workload {
   /// both the golden and every faulty machine.  Called after drive(),
   /// before evalComb().
   ///
-  /// Concurrency contract: the parallel campaign engines call backdoor()
+  /// Concurrency contract: the bit-sliced engine's workers call backdoor()
   /// from several worker threads at once (after one restart() on the main
   /// thread), each with its own Simulator.  backdoor() must therefore not
   /// mutate workload state — read a plan precomputed in restart(), or

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/thread_pool.hpp"
 #include "fault/engine_context.hpp"
 #include "faultsim/bitsliced.hpp"
-#include "faultsim/threaded.hpp"
 #include "inject/workload.hpp"
 #include "netlist/text_format.hpp"
 
@@ -99,19 +99,18 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
 
   const auto runSerial = [&](sim::EvalMode mode) {
     faultsim::FaultSimOptions o;
-    o.threads = 1;
     o.evalMode = mode;
     auto r = faultsim::runSerialFaultSim(ctx, wl, plan.faults, o);
     applySabotage(opt.sabotage, Sabotage::Engine::Serial, mode, r);
     ++report.combosRun;
     return r;
   };
-  const auto runThreaded = [&](sim::EvalMode mode) {
+  const auto runBitsliced = [&](sim::EvalMode mode, unsigned threads) {
     faultsim::FaultSimOptions o;
-    o.threads = opt.threads == 1 ? 2 : opt.threads;  // stay off the serial path
+    o.threads = threads;
     o.evalMode = mode;
-    auto r = faultsim::runFaultSim(ctx, wl, plan.faults, o);
-    applySabotage(opt.sabotage, Sabotage::Engine::Threaded, mode, r);
+    auto r = faultsim::runBitslicedFaultSim(ctx, wl, plan.faults, o);
+    applySabotage(opt.sabotage, Sabotage::Engine::Bitsliced, mode, r);
     ++report.combosRun;
     return r;
   };
@@ -121,10 +120,6 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
 
   compareVerdicts(ref, runSerial(sim::EvalMode::FullSettle), identity,
                   "serial/full-settle", report);
-  compareVerdicts(ref, runThreaded(sim::EvalMode::EventDriven), identity,
-                  "threaded/event-driven", report);
-  compareVerdicts(ref, runThreaded(sim::EvalMode::FullSettle), identity,
-                  "threaded/full-settle", report);
 
   // Golden traces of both eval modes must be cycle-for-cycle identical.
   {
@@ -141,20 +136,17 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
     }
   }
 
-  // Bit-sliced fault-parallel engine: full fault model, full plan list.
-  if (opt.runBitsliced && !plan.faults.empty()) {
+  // Bit-sliced fault-parallel engine: full fault model, full plan list, on
+  // one thread and through a worker pool of at least two (one word group,
+  // so one worker simulates it; see the header).
+  const unsigned mtThreads =
+      std::max(2u, core::resolveThreadCount(opt.threads));
+  for (const unsigned threads : {1u, mtThreads}) {
+    const std::string engine = threads == 1 ? "bitsliced/" : "bitsliced-mt/";
     for (const auto mode :
          {sim::EvalMode::EventDriven, sim::EvalMode::FullSettle}) {
-      faultsim::FaultSimOptions o;
-      o.engine = faultsim::EngineKind::Bitsliced;
-      o.evalMode = mode;
-      auto r = faultsim::runBitslicedFaultSim(ctx, wl, plan.faults, o);
-      applySabotage(opt.sabotage, Sabotage::Engine::Bitsliced, mode, r);
-      ++report.combosRun;
-      compareVerdicts(
-          ref, r, identity,
-          std::string("bitsliced/") + std::string(evalModeName(mode)),
-          report);
+      compareVerdicts(ref, runBitsliced(mode, threads), identity,
+                      engine + std::string(evalModeName(mode)), report);
     }
   }
 
@@ -185,11 +177,8 @@ OracleReport runOracle(const netlist::Netlist& nl, const TestPlan& plan,
         const TestPlan rebound = rebindPlan(nl, reparsed, plan);
         inject::VectorWorkload wl2(rebound.name, rebound.inputs,
                                    rebound.stimulus);
-        faultsim::FaultSimOptions o;
-        o.threads = 1;
         const fault::EngineContext ctx2(reparsed);
-        const auto r =
-            faultsim::runSerialFaultSim(ctx2, wl2, rebound.faults, o);
+        const auto r = faultsim::runSerialFaultSim(ctx2, wl2, rebound.faults);
         compareVerdicts(ref, r, identity, "round-trip", report);
       }
     } catch (const std::exception& e) {

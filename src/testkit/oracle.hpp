@@ -1,15 +1,23 @@
 // Differential oracle: runs one (design, plan) pair through every fault-sim
 // engine x evaluation-mode combination and asserts bit-identical verdicts.
 //
-//   serial    x {event-driven, full-settle}   the reference engine
-//   threaded  x {event-driven, full-settle}   checkpoint-forking worker pool
-//   bitsliced x {event-driven, full-settle}   SIMD word-lane divergence engine
+//   serial       x {event-driven, full-settle}   the reference engine
+//   bitsliced    x {event-driven, full-settle}   SIMD word-lane divergence
+//                                                engine, one thread
+//   bitsliced-mt x {event-driven, full-settle}   the same engine through
+//                                                its >= 2-worker pool entry
+//
+// A random plan's fault list fits one word group, so on bitsliced-mt one
+// worker simulates it while the others find the scheduler empty: the combo
+// checks the pool start, group handoff and stats merge on random designs,
+// not identity across workers (tests/test_parallel_campaign.cpp and
+// tests/test_bitsliced.cpp cover that with lists of several word groups).
 //
 // The serial/event-driven run is the reference; every other combo must match
 // it fault-for-fault on outcomes and on the detected tally.  The bit-sliced
 // engine covers the FULL fault model (stuck-at, transients, bridges, delay,
-// memory faults), so it runs the whole plan fault list like the other
-// engines.  Two extra properties ride along: the golden traces of both eval
+// memory faults), so it runs the whole plan fault list like the serial
+// engine.  Two extra properties ride along: the golden traces of both eval
 // modes must be identical, and the design must survive a text round-trip —
 // parse(write(nl)) re-simulated under the rebound plan must reproduce the
 // reference verdicts.
@@ -28,13 +36,14 @@ namespace socfmea::testkit {
 [[nodiscard]] std::string_view evalModeName(sim::EvalMode m) noexcept;
 
 /// A deliberate, deterministic engine bug for validating the shrinker and
-/// the repro pipeline: after the selected engine/mode combo runs, every
+/// the repro pipeline: after the selected engine runs in the selected mode
+/// (bit-sliced: at every thread count), every
 /// `stride`-th Detected verdict (starting at `offset`) is downgraded to
 /// Undetected — the classic "engine silently misses detections" failure.
 /// Because only real detections flip, a failing case needs a live cone from
 /// a fault site to an observed output, so the shrinker must preserve one.
 struct Sabotage {
-  enum class Engine : std::uint8_t { None, Serial, Threaded, Bitsliced };
+  enum class Engine : std::uint8_t { None, Serial, Bitsliced };
   Engine engine = Engine::None;
   sim::EvalMode mode = sim::EvalMode::FullSettle;
   std::uint64_t stride = 1;  ///< downgrade every stride-th detection
@@ -44,10 +53,9 @@ struct Sabotage {
 };
 
 struct OracleOptions {
-  /// Worker count for the threaded engine (0 = hardware concurrency).
+  /// Worker count for the multi-threaded bit-sliced combos (0 = hardware
+  /// concurrency); raised to 2 when it resolves below that.
   unsigned threads = 0;
-  /// Run the bit-sliced fault-parallel engine on the full plan fault list.
-  bool runBitsliced = true;
   /// Check parse(write(nl)) by re-running the reference engine on the
   /// reparsed design with the plan rebound by name.
   bool roundTrip = true;
@@ -66,7 +74,7 @@ struct OracleOptions {
 
 /// One disagreement between a combo and the reference.
 struct OracleMismatch {
-  std::string combo;   ///< e.g. "threaded/full-settle", "round-trip"
+  std::string combo;   ///< e.g. "bitsliced-mt/full-settle", "round-trip"
   std::string detail;  ///< human-readable description
   /// Indices into the plan's fault list whose verdicts disagreed (empty for
   /// non-verdict mismatches such as golden-trace or text differences).

@@ -577,7 +577,7 @@ TEST(BitslicedCampaignTest, RecordsIdenticalToSerialOracle) {
 
   ij::InjectionManager mgr(bed.design.nl, bed.env);
 
-  ij::CampaignOptions serialOpt;  // threads = 1: the reference oracle
+  ij::CampaignOptions serialOpt;  // the serial reference oracle
   ij::CoverageCollector serialCov(mgr.environment());
   const auto serial = mgr.run(wl, faults, &serialCov, serialOpt);
 

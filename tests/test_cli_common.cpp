@@ -107,6 +107,21 @@ TEST(CliCommon, UnknownEngineAndTierAreErrors) {
             cli::FlagStatus::Error);
 }
 
+TEST(CliCommon, RetiredEngineNamesAreErrors) {
+  // Only the serial oracle and the bit-sliced engine remain; the names of
+  // the retired threaded engine and the auto mode fail closed.
+  for (const char* retired : {"threaded", "auto"}) {
+    const ParseRun run = parseAll({"--engine", retired});
+    EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Error) << retired;
+    EXPECT_NE(run.error.find("serial | bitsliced"), std::string::npos)
+        << run.error;
+    EXPECT_FALSE(run.flags.engineSet) << retired;
+  }
+  EXPECT_EQ(cli::CommonFlags{}.engine, socfmea::faultsim::EngineKind::Serial);
+  EXPECT_EQ(parseAll({"--engine", "serial"}).flags.engine,
+            socfmea::faultsim::EngineKind::Serial);
+}
+
 TEST(CliCommon, UsageTextCoversEverySharedFlag) {
   for (const char* flag :
        {"--json", "--cache-dir", "--workers", "--engine", "--tier"}) {
@@ -129,6 +144,21 @@ TEST(CliCommon, ParseUnsignedIsStrictWholeString) {
     EXPECT_EQ(w, 7u) << bad;  // failed parses leave the output untouched
   }
   EXPECT_FALSE(cli::parseUnsigned(nullptr, v));
+}
+
+TEST(CliCommon, ParseUnsigned64TakesTheFullSeedRange) {
+  std::uint64_t v = 99;
+  EXPECT_TRUE(cli::parseUnsigned64("4294967297", v));
+  EXPECT_EQ(v, 4294967297ull);
+  EXPECT_TRUE(cli::parseUnsigned64("18446744073709551615", v));
+  EXPECT_EQ(v, 18446744073709551615ull);
+  for (const char* bad :
+       {"", "-1", "12junk", "abc", " 1", "18446744073709551616", "0x10"}) {
+    std::uint64_t w = 7;
+    EXPECT_FALSE(cli::parseUnsigned64(bad, w)) << bad;
+    EXPECT_EQ(w, 7u) << bad;
+  }
+  EXPECT_FALSE(cli::parseUnsigned64(nullptr, v));
 }
 
 TEST(CliCommon, ParseFractionRejectsNegativeAndTrailingJunk) {

@@ -540,7 +540,6 @@ TEST(ScenarioSuiteTest, CrossEngineVerdictIdentity) {
     const auto bs = sc::runScenario(*s, sliced);
 
     sc::RunOptions sharded = serial;
-    sharded.campaign.engine = socfmea::faultsim::EngineKind::Auto;
     sharded.workers = 2;
     sharded.workerCmd = {SOCFMEA_WORKER_BIN};
     const auto sh = sc::runScenario(*s, sharded);

@@ -1,8 +1,9 @@
-// Tests for the parallel campaign engine: the thread pool, the Simulator
-// snapshot/restore API, and the headline determinism contract — the same
-// fault list through the serial oracle and the parallel engine (threads =
-// 1, 2, 8) on the memsys reference design produces identical
-// InjectionRecords, coverage counters and FaultSimResult detections.
+// Tests for in-process campaign parallelism: the thread pool, the Simulator
+// snapshot/restore API the bit-sliced engine's checkpoints rest on, and the
+// headline determinism contract — the same fault list through the serial
+// oracle and the bit-sliced engine on a worker pool (threads = 2, 4) on the
+// memsys reference design produces identical InjectionRecords, coverage
+// counters and FaultSimResult detections.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,7 @@
 #include "core/thread_pool.hpp"
 #include "fault/collapse.hpp"
 #include "fault/fault_list.hpp"
-#include "faultsim/threaded.hpp"
+#include "faultsim/serial.hpp"
 #include "inject/manager.hpp"
 #include "inject/workload.hpp"
 #include "memsys/gatelevel.hpp"
@@ -188,7 +189,7 @@ TEST(SnapshotTest, RejectsForeignDesign) {
 }
 
 // ---------------------------------------------------------------------------
-// campaign determinism: serial oracle vs parallel engine
+// campaign determinism: serial oracle vs bit-sliced engine x threads
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -207,13 +208,25 @@ struct MemsysBed {
                 .withDetectionWindow(24)
                 .build()) {}
 
-  /// A balanced sample: permanent stuck-at faults (checkpoint fallback)
-  /// plus transient SEUs / soft errors (checkpoint hits).
+  /// A balanced sample: permanent stuck-at faults plus transient SEUs /
+  /// soft errors.
   [[nodiscard]] ft::FaultList sampleFaults(ms::ProtectionIpWorkload& wl,
                                            std::size_t n) const {
     const auto profile = ij::OperationalProfile::record(db, wl);
     ft::FaultList candidates = ft::allStuckAtFaults(design.nl);
     ft::append(candidates, ft::allSeuFaults(design.nl));
+    ij::collapseAgainstProfile(db, profile, candidates);
+    return ij::randomizeFaultList(db, profile, candidates, n, kFaultSeed);
+  }
+
+  /// Transient SEUs only.  A word group forks from a golden checkpoint only
+  /// when every lane in it activates late, and the scheduler packs
+  /// permanents first, so a mixed sample may start every group at reset;
+  /// a transient-only list makes the forking observable.
+  [[nodiscard]] ft::FaultList sampleTransients(ms::ProtectionIpWorkload& wl,
+                                               std::size_t n) const {
+    const auto profile = ij::OperationalProfile::record(db, wl);
+    ft::FaultList candidates = ft::allSeuFaults(design.nl);
     ij::collapseAgainstProfile(db, profile, candidates);
     return ij::randomizeFaultList(db, profile, candidates, n, kFaultSeed);
   }
@@ -239,27 +252,37 @@ void expectRecordsEqual(const ij::CampaignResult& a,
   }
 }
 
+/// Bit-sliced campaign options on a pool of `threads` workers.  One-limb
+/// (64-lane) words, so a fault list of more than 64 faults spans several
+/// word groups and the workers really share the campaign.
+ij::CampaignOptions bitslicedOn(unsigned threads) {
+  ij::CampaignOptions o;
+  o.engine = fs::EngineKind::Bitsliced;
+  o.laneWords = 1;
+  o.threads = threads;
+  return o;
+}
+
 }  // namespace
 
 TEST(ParallelCampaignTest, BitIdenticalToSerialAcrossThreadCounts) {
   SCOPED_TRACE(bedSeedTrace());
   MemsysBed bed;
   ms::ProtectionIpWorkload wl(bed.design, smallWorkload(260));
-  const auto faults = bed.sampleFaults(wl, 48);
-  ASSERT_GT(faults.size(), 10u);
+  const auto faults = bed.sampleFaults(wl, 160);
+  ASSERT_GT(faults.size(), 128u);  // at least three 64-lane word groups
 
   ij::InjectionManager mgr(bed.design.nl, bed.env);
 
-  ij::CampaignOptions serialOpt;  // threads = 1: the reference oracle
+  ij::CampaignOptions serialOpt;  // the serial reference oracle
   ij::CoverageCollector serialCov(mgr.environment());
   const auto serial = mgr.run(wl, faults, &serialCov, serialOpt);
   EXPECT_EQ(serial.checkpointHits, 0u);
 
-  for (const unsigned threads : {2u, 8u}) {
-    ij::CampaignOptions par;
-    par.threads = threads;
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     ij::CoverageCollector parCov(mgr.environment());
-    const auto parallel = mgr.run(wl, faults, &parCov, par);
+    const auto parallel = mgr.run(wl, faults, &parCov, bitslicedOn(threads));
 
     expectRecordsEqual(serial, parallel);
     EXPECT_EQ(serialCov.injections(), parCov.injections());
@@ -275,8 +298,26 @@ TEST(ParallelCampaignTest, BitIdenticalToSerialAcrossThreadCounts) {
     EXPECT_EQ(serial.measuredSafeFraction(), parallel.measuredSafeFraction());
     EXPECT_EQ(serial.meanDetectionLatency(), parallel.meanDetectionLatency());
     EXPECT_EQ(serial.maxDetectionLatency(), parallel.maxDetectionLatency());
-    // The transient faults in the sample forked from golden checkpoints
-    // and skipped their fault-free prefixes.
+  }
+}
+
+TEST(ParallelCampaignTest, TransientWordGroupsSkipTheFaultFreePrefix) {
+  SCOPED_TRACE(bedSeedTrace());
+  MemsysBed bed;
+  ms::ProtectionIpWorkload wl(bed.design, smallWorkload(260));
+  const auto faults = bed.sampleTransients(wl, 160);
+  ASSERT_GT(faults.size(), 64u);  // at least two 64-lane word groups
+
+  ij::InjectionManager mgr(bed.design.nl, bed.env);
+  const auto serial = mgr.run(wl, faults);
+  EXPECT_EQ(serial.checkpointHits, 0u);
+
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto parallel = mgr.run(wl, faults, nullptr, bitslicedOn(threads));
+    expectRecordsEqual(serial, parallel);
+    // The late word groups forked from golden checkpoints and skipped
+    // their fault-free prefixes.
     EXPECT_GT(parallel.checkpointHits, 0u);
     EXPECT_GT(parallel.checkpointCyclesSkipped, 0u);
     EXPECT_LT(parallel.cyclesSimulated, serial.cyclesSimulated);
@@ -297,16 +338,17 @@ TEST(ParallelCampaignTest, StuckAtFaultsFallBackToFullReplay) {
   ij::InjectionManager mgr(bed.design.nl, bed.env);
   const auto serial = mgr.run(wl, faults);
 
-  ij::CampaignOptions par;
-  par.threads = 4;
-  const auto parallel = mgr.run(wl, faults, nullptr, par);
+  const auto parallel = mgr.run(wl, faults, nullptr, bitslicedOn(4));
   expectRecordsEqual(serial, parallel);
   // Permanent faults are active from reset: no checkpoint may be used.
   EXPECT_EQ(parallel.checkpointHits, 0u);
-  EXPECT_EQ(parallel.cyclesSimulated, serial.cyclesSimulated);
+  EXPECT_EQ(parallel.checkpointCyclesSkipped, 0u);
 }
 
-TEST(ParallelCampaignTest, LatentFaultCampaignStaysIdentical) {
+TEST(ParallelCampaignTest, LatentFaultCampaignStaysOnTheSerialOracle) {
+  // Latent (dual-point) campaigns run on the serial engine only: `threads`
+  // is a bit-sliced setting the serial engine ignores, and the bit-sliced
+  // engine refuses a latent fault instead of dropping it.
   SCOPED_TRACE(bedSeedTrace());
   MemsysBed bed;
   ms::ProtectionIpWorkload wl(bed.design, smallWorkload(150));
@@ -317,10 +359,14 @@ TEST(ParallelCampaignTest, LatentFaultCampaignStaysIdentical) {
 
   ij::InjectionManager mgr(bed.design.nl, bed.env);
   const auto serial = mgr.run(wl, faults, nullptr, opt);
-  auto par = opt;
-  par.threads = 4;
-  const auto parallel = mgr.run(wl, faults, nullptr, par);
-  expectRecordsEqual(serial, parallel);
+  auto wide = opt;
+  wide.threads = 4;
+  expectRecordsEqual(serial, mgr.run(wl, faults, nullptr, wide));
+
+  auto sliced = bitslicedOn(4);
+  sliced.preexisting = opt.preexisting;
+  EXPECT_THROW((void)mgr.run(wl, faults, nullptr, sliced),
+               std::invalid_argument);
 }
 
 TEST(ParallelCampaignTest, ExplicitCheckpointIntervalHonoured) {
@@ -331,15 +377,17 @@ TEST(ParallelCampaignTest, ExplicitCheckpointIntervalHonoured) {
 
   ij::InjectionManager mgr(bed.design.nl, bed.env);
   const auto serial = mgr.run(wl, faults);
-  ij::CampaignOptions par;
-  par.threads = 2;
-  par.checkpointInterval = 8;  // dense checkpoints
-  const auto parallel = mgr.run(wl, faults, nullptr, par);
-  expectRecordsEqual(serial, parallel);
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto par = bitslicedOn(threads);
+    par.checkpointInterval = 8;  // dense checkpoints
+    const auto parallel = mgr.run(wl, faults, nullptr, par);
+    expectRecordsEqual(serial, parallel);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// threaded fault simulation (runFaultSim)
+// bit-sliced fault simulation x threads (runFaultSim)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -364,7 +412,7 @@ struct DataPath {
 
 }  // namespace
 
-TEST(ThreadedFaultSimTest, MatchesSerialOnMixedFaults) {
+TEST(BitslicedThreadsFaultSimTest, MatchesSerialOnMixedFaults) {
   const std::uint64_t seed = tk::testSeed(7);
   SCOPED_TRACE(tk::seedMessage(seed));
   DataPath d;
@@ -372,22 +420,29 @@ TEST(ThreadedFaultSimTest, MatchesSerialOnMixedFaults) {
 
   ft::FaultList faults = ft::allStuckAtFaults(d.n);
   ft::collapseStuckAt(d.n, faults);
-  // Add transient SEUs late in the workload so checkpoint forking triggers.
+  // Transient SEUs late in the workload.  Mixed with the stuck-ats they
+  // share the reset-started word groups; on their own they form a group
+  // that forks from the cycle-120 golden checkpoint.
+  ft::FaultList seus;
   for (nl::CellId ff : d.n.flipFlops()) {
     ft::Fault f;
     f.kind = ft::FaultKind::SeuFlip;
     f.cell = ff;
     f.net = d.n.cell(ff).output;
     f.cycle = 120;
-    faults.push_back(f);
+    seus.push_back(f);
   }
+  ft::append(faults, seus);
 
   fs::FaultSimOptions serialOpt;
   const auto serial = fs::runFaultSim(d.n, wl, faults, serialOpt);
   EXPECT_EQ(serial.checkpointHits, 0u);
 
-  for (const unsigned threads : {2u, 8u}) {
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     fs::FaultSimOptions opt;
+    opt.engine = fs::EngineKind::Bitsliced;
+    opt.laneWords = 1;  // 64 lanes: several word groups for the workers
     opt.threads = threads;
     const auto par = fs::runFaultSim(d.n, wl, faults, opt);
     ASSERT_EQ(par.outcomes.size(), serial.outcomes.size());
@@ -397,12 +452,17 @@ TEST(ThreadedFaultSimTest, MatchesSerialOnMixedFaults) {
     }
     EXPECT_EQ(par.detected, serial.detected);
     EXPECT_EQ(par.total, serial.total);
-    EXPECT_GT(par.checkpointHits, 0u);  // the cycle-120 SEUs forked
-    EXPECT_LT(par.simulatedCycles, serial.simulatedCycles);
+
+    const auto seuSerial = fs::runFaultSim(d.n, wl, seus, serialOpt);
+    const auto seuPar = fs::runFaultSim(d.n, wl, seus, opt);
+    EXPECT_EQ(seuPar.outcomes, seuSerial.outcomes);
+    EXPECT_GT(seuPar.checkpointHits, 0u);  // the cycle-120 SEUs forked
+    EXPECT_GT(seuPar.checkpointCyclesSkipped, 0u);
+    EXPECT_LT(seuPar.simulatedCycles, seuSerial.simulatedCycles);
   }
 }
 
-TEST(ThreadedFaultSimTest, ThreadsZeroUsesHardwareConcurrency) {
+TEST(BitslicedThreadsFaultSimTest, ThreadsZeroUsesHardwareConcurrency) {
   const std::uint64_t seed = tk::testSeed(3);
   SCOPED_TRACE(tk::seedMessage(seed));
   DataPath d;
@@ -413,6 +473,7 @@ TEST(ThreadedFaultSimTest, ThreadsZeroUsesHardwareConcurrency) {
   fs::FaultSimOptions serialOpt;
   const auto serial = fs::runFaultSim(d.n, wl, faults, serialOpt);
   fs::FaultSimOptions opt;
+  opt.engine = fs::EngineKind::Bitsliced;
   opt.threads = 0;
   const auto par = fs::runFaultSim(d.n, wl, faults, opt);
   EXPECT_EQ(par.detected, serial.detected);
@@ -457,25 +518,28 @@ TEST(TallyTest, MatchesPerOutcomeCounts) {
 TEST(ParallelCampaignTest, JsonMetricsSectionIdenticalSerialVsParallel) {
   // The acceptance contract of the machine-readable report: the "metrics"
   // section of CampaignResult::toJson() is byte-identical between the
-  // serial oracle and the parallel engine; only "execution" (cycles,
-  // checkpoint counters) may differ.
+  // serial oracle and the bit-sliced engine on a worker pool; only
+  // "execution" (cycles, checkpoint counters) may differ.
   SCOPED_TRACE(bedSeedTrace());
   MemsysBed bed;
   ms::ProtectionIpWorkload wl(bed.design, smallWorkload(260));
-  const auto faults = bed.sampleFaults(wl, 32);
+  // Transient-only, so the engines' execution sections really differ.
+  const auto faults = bed.sampleTransients(wl, 160);
   ij::InjectionManager mgr(bed.design.nl, bed.env);
 
-  ij::CampaignOptions serialOpt;  // threads = 1
+  ij::CampaignOptions serialOpt;  // the serial reference oracle
   const auto serial = mgr.run(wl, faults, nullptr, serialOpt);
-  ij::CampaignOptions parOpt;
-  parOpt.threads = 4;
-  const auto parallel = mgr.run(wl, faults, nullptr, parOpt);
+  const auto parallel = mgr.run(wl, faults, nullptr, bitslicedOn(4));
 
   const auto metricsDump = [](const ij::CampaignResult& r) {
     return r.toJson().at("metrics").dump(2);
   };
   EXPECT_EQ(metricsDump(serial), metricsDump(parallel));
   // Sanity: the execution sections really do describe different engines.
-  EXPECT_LT(parallel.toJson().at("execution").at("cycles_simulated").asInt(),
-            serial.toJson().at("execution").at("cycles_simulated").asInt());
+  const auto parExec = parallel.toJson().at("execution");
+  const auto serialExec = serial.toJson().at("execution");
+  EXPECT_LT(parExec.at("cycles_simulated").asInt(),
+            serialExec.at("cycles_simulated").asInt());
+  EXPECT_GT(parExec.at("checkpoint_hits").asInt(), 0);
+  EXPECT_EQ(serialExec.at("checkpoint_hits").asInt(), 0);
 }

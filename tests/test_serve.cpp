@@ -14,10 +14,13 @@
 //     worker lost (local fallback);
 //   * the campaign form — runShardedCampaign equals InjectionManager::run
 //     record-for-record on the protection IP;
+//   * the worker — a job naming an unknown campaign engine (including the
+//     retired "threaded" / "auto") gets an error reply, not the default;
 //   * the daemon — submit / re-submit (store hit) / jobs / report /
 //     shutdown over the line-delimited JSON API.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -45,9 +48,11 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/shard.hpp"
+#include "serve/worker.hpp"
 #include "testkit/netlist_gen.hpp"
 #include "testkit/plan.hpp"
 #include "testkit/seed.hpp"
+#include "zones/extract.hpp"
 
 namespace core = socfmea::core;
 namespace fault = socfmea::fault;
@@ -112,9 +117,7 @@ FuzzCase makeCase(std::uint64_t seed, std::size_t minFaults = 16) {
 faultsim::FaultSimResult serialReference(const FuzzCase& c) {
   const fault::EngineContext ctx(c.nl);
   inject::VectorWorkload wl(c.plan.name, c.plan.inputs, c.plan.stimulus);
-  faultsim::FaultSimOptions o;
-  o.threads = 1;
-  return faultsim::runSerialFaultSim(ctx, wl, c.plan.faults, o);
+  return faultsim::runSerialFaultSim(ctx, wl, c.plan.faults);
 }
 
 Json faultSimJob(const FuzzCase& c) {
@@ -456,6 +459,53 @@ TEST(ServeDistributed, ShardedCampaignMatchesInjectionManager) {
   EXPECT_EQ(stats.workersLost, 0u);
   EXPECT_EQ(delta.mismatches, 0u) << "revalidation sample must agree";
   EXPECT_GT(delta.revalidated, 0u) << "the 2% self-heal sample must run";
+}
+
+// ------------------------------------------------------------------ worker
+
+TEST(ServeWorker, UnknownCampaignEngineIsAnErrorReply) {
+  const FuzzCase c = makeCase(tk::testSeed(0x5E1F));
+  const socfmea::zones::ZoneDatabase db = socfmea::zones::extractZones(c.nl);
+  const fs::path dir = freshDir("socfmea-serve-worker-engine");
+  fs::create_directories(dir);
+  for (const char* engine : {"threaded", "auto", "warp", "bitsliced"}) {
+    SCOPED_TRACE(engine);
+    Json job = serve::makeCampaignJob(
+        c.nl, db, {}, /*envSeed=*/1, /*detectionWindow=*/16, {},
+        serve::textDesignSpec(c.nl),
+        serve::vectorWorkloadSpec(c.nl, c.plan.name, c.plan.inputs,
+                                  c.plan.stimulus));
+    job["campaign"]["engine"] = std::string(engine);
+    const fs::path in = dir / "in.jsonl";
+    const fs::path out = dir / "out.jsonl";
+    std::ofstream(in) << serve::packMessage(job);
+
+    const int inFd = ::open(in.c_str(), O_RDONLY);
+    const int outFd = ::open(out.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(inFd, 0);
+    ASSERT_GE(outFd, 0);
+    const int rc = serve::workerMain(inFd, outFd);
+    ::close(inFd);
+    ::close(outFd);
+
+    std::vector<Json> replies;
+    std::ifstream lines(out);
+    for (std::string l; std::getline(lines, l);) {
+      if (auto m = serve::parseMessage(l)) replies.push_back(std::move(*m));
+    }
+    ASSERT_EQ(replies.size(), 2u);  // hello + the job's answer
+    const Json& answer = replies.back();
+    if (std::string(engine) == "bitsliced") {
+      EXPECT_EQ(rc, 0);
+      EXPECT_EQ(serve::msgString(answer, "type"), "ready");
+    } else {
+      EXPECT_NE(rc, 0);
+      EXPECT_EQ(serve::msgString(answer, "type"), "error");
+      EXPECT_NE(serve::msgString(answer, "message").find(engine),
+                std::string::npos);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------------------------------ daemon

@@ -52,7 +52,7 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
     const auto k = serve::engineKindFromName(v);
     if (!k) {
       error = std::string("--engine: unknown engine '") + v +
-              "' (serial | threaded | bitsliced | auto)";
+              "' (serial | bitsliced)";
       return FlagStatus::Error;
     }
     out.engine = *k;
@@ -87,7 +87,7 @@ const std::string& commonUsageDetails() {
       "  --json       machine-readable report path\n"
       "  --cache-dir  artifact store for the flow graph / delta campaign\n"
       "  --workers    shard campaigns over N worker processes\n"
-      "  --engine     campaign engine: serial | threaded | bitsliced | auto\n"
+      "  --engine     campaign engine: serial | bitsliced\n"
       "  --tier       campaign tier: abstract | exact | auto (abstract ="
       " SET->multi-SEU sweep\n"
       "               with exact-resim escalation)\n";
@@ -106,16 +106,21 @@ std::optional<std::unique_ptr<core::ArtifactStore>> openStore(
   return std::make_unique<core::ArtifactStore>(flags.cacheDir);
 }
 
-bool parseUnsigned(const char* s, unsigned& out) {
-  // Strict whole-string: strtoul's leading-whitespace / sign laxity is
+bool parseUnsigned64(const char* s, std::uint64_t& out) {
+  // Strict whole-string: strtoull's leading-whitespace / sign laxity is
   // rejected up front.
   if (s == nullptr || s[0] < '0' || s[0] > '9') return false;
   char* end = nullptr;
   errno = 0;
-  const unsigned long v = std::strtoul(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE || v > 0xFFFFFFFFul) {
-    return false;
-  }
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+bool parseUnsigned(const char* s, unsigned& out) {
+  std::uint64_t v = 0;
+  if (!parseUnsigned64(s, v) || v > 0xFFFFFFFFull) return false;
   out = static_cast<unsigned>(v);
   return true;
 }

@@ -8,6 +8,7 @@
 // message for the caller to print before returning 2.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,7 +24,7 @@ struct CommonFlags {
   const char* jsonPath = nullptr;  ///< --json <path>
   const char* cacheDir = nullptr;  ///< --cache-dir <dir>
   unsigned workers = 0;            ///< --workers N (0 = flag absent)
-  faultsim::EngineKind engine = faultsim::EngineKind::Auto;
+  faultsim::EngineKind engine = faultsim::EngineKind::Serial;
   inject::TierMode tier = inject::TierMode::Exact;
   bool engineSet = false;
   bool tierSet = false;
@@ -62,7 +63,9 @@ enum class FlagStatus {
 
 /// Strict unsigned / non-negative-fraction value parsers (whole-string,
 /// base 10) shared by the tools' own flags (--max-resim, --threads, ...).
+/// parseUnsigned64 takes the full 64-bit range (seeds).
 [[nodiscard]] bool parseUnsigned(const char* s, unsigned& out);
+[[nodiscard]] bool parseUnsigned64(const char* s, std::uint64_t& out);
 [[nodiscard]] bool parseFraction(const char* s, double& out);
 
 }  // namespace socfmea::cli

@@ -4,8 +4,9 @@
 //             [--workers <W>] [--sabotage <engine>/<mode>] [--quiet]
 //     Generates N random (design, stimulus, fault-plan) cases from the
 //     campaign seed S and runs each through the differential oracle: the
-//     serial, threaded and bit-sliced fault-sim engines under both
-//     event-driven and full-settle evaluation must agree fault-for-fault,
+//     serial engine and the bit-sliced engine (one thread, and a pool of
+//     --threads workers, at least two) under both event-driven and
+//     full-settle evaluation must agree fault-for-fault,
 //     the golden traces of both modes must match, and the design must
 //     survive a .snl round-trip.  On a failure the case number and seed are
 //     printed (re-run any single case with the same --seed and --runs to
@@ -13,7 +14,7 @@
 //     minimal repro is written to <dir>/repro-<case>.nl / .plan.
 //
 //     --sabotage injects a deliberate verdict-flipping bug into one engine
-//     (e.g. --sabotage threaded/full-settle) to exercise the oracle and
+//     (e.g. --sabotage bitsliced/full-settle) to exercise the oracle and
 //     shrinker pipeline end to end.
 //
 //     --workers W adds the distributed multi-process engine to the oracle's
@@ -85,11 +86,14 @@ struct Args {
   std::cerr
       << "usage: fuzz_diff --seed <S> --runs <N> [--shrink] [--out <dir>]\n"
          "                 [--threads <T>] [--workers <W>]\n"
-         "                 [--sabotage <engine>/<mode>] [--quiet]\n"
+         "                 [--sabotage <serial|bitsliced>/<mode>] [--quiet]\n"
          "       fuzz_diff --replay <design.nl> <plan.plan> [--threads <T>]\n"
          "                 [--workers <W>]\n"
          "       fuzz_diff --cpu <N> [--seed <S>] [oracle flags as above]\n"
-         "       fuzz_diff --pin-corpus <dir>\n";
+         "       fuzz_diff --pin-corpus <dir>\n"
+         "  --threads  bit-sliced workers of the multi-threaded combos\n"
+         "             (0 = hardware concurrency, at least 2)\n"
+         "  <mode>     event-driven | full-settle\n";
   std::exit(2);
 }
 
@@ -101,12 +105,10 @@ testkit::Sabotage parseSabotage(const std::string& spec) {
   testkit::Sabotage s;
   if (engine == "serial") {
     s.engine = testkit::Sabotage::Engine::Serial;
-  } else if (engine == "threaded") {
-    s.engine = testkit::Sabotage::Engine::Threaded;
   } else if (engine == "bitsliced") {
     s.engine = testkit::Sabotage::Engine::Bitsliced;
   } else {
-    usage("unknown sabotage engine (serial|threaded|bitsliced)");
+    usage("unknown sabotage engine (serial|bitsliced)");
   }
   if (mode == "event-driven") {
     s.mode = sim::EvalMode::EventDriven;
