@@ -10,9 +10,10 @@
 // injection campaign — and prints the HW-vs-SW comparison table: analytic
 // SFF/DC/SIL next to the measured SFF/DDF of each mitigation, all against
 // the unprotected baseline.  --workers >= 2 shards the campaign over worker
-// processes (this binary re-exec'd with --serve-worker); --records dumps
-// every injection record for cross-engine debugging.  A malformed value
-// (unknown engine/tier, --per-bit 0, a non-numeric count or seed) exits 2.
+// processes (this binary re-exec'd with --serve-worker; exact tier only);
+// --records dumps every injection record for cross-engine debugging.  A
+// malformed value (unknown engine/tier, --per-bit 0, a non-numeric count or
+// seed, a non-exact tier with --workers >= 2) exits 2.
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -98,6 +99,10 @@ Args parseArgs(int argc, char** argv) {
     } else {
       usage(("unknown option '" + arg + "'").c_str());
     }
+  }
+  if (std::string error;
+      !cli::checkTierWorkers(a.run.tier, a.run.workers, error)) {
+    usage(error.c_str());
   }
   return a;
 }

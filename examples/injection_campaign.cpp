@@ -55,6 +55,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (std::string error;
+      !cli::checkTierWorkers(flags.tier, flags.workers, error)) {
+    std::cerr << error << "\n";
+    return 2;
+  }
   const char* jsonPath = flags.jsonPath;
   const unsigned workers = flags.workers;
   inject::CampaignOptions copt;

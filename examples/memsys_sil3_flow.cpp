@@ -205,6 +205,11 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
+  if (std::string error;
+      !cli::checkTierWorkers(flags.tier, flags.workers, error)) {
+    std::cerr << error << "\n";
+    return 2;
+  }
 
   // Any of the iteration flags selects the incremental flow-graph mode; the
   // bare invocation below stays byte-identical for the CI metrics gate.

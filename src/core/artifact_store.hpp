@@ -48,8 +48,8 @@ class ArtifactStore {
 
   /// Mutable named slot (latest-run head state).  Heads deliberately bypass
   /// the in-memory LRU: another process sharing the store directory (a
-  /// campaign server's workers, parallel CI jobs) may advance the slot
-  /// between calls, and a daemon must observe that, not a stale cache.
+  /// concurrent flow run, parallel CI jobs) may advance the slot between
+  /// calls, and a long-lived caller must observe that, not a stale cache.
   ///
   /// `branch` selects an independent sub-slot of `name` ("" = the base
   /// slot).  Search workloads evaluate many candidate designs against one

@@ -42,13 +42,13 @@ std::uint64_t sheetConfigHash(const fmea::SheetConfig& c) {
 }
 
 FmeaFlow::FmeaFlow(const netlist::Netlist& nl, FlowConfig cfg)
-    : FmeaFlow(nl, std::move(cfg), FlowGraphOptions{}) {}
+    : FmeaFlow(nl, std::move(cfg), nullptr) {}
 
 FmeaFlow::FmeaFlow(const netlist::Netlist& nl, FlowConfig cfg,
-                   FlowGraphOptions graph)
+                   ArtifactStore* store)
     : nl_(&nl),
       cfg_(std::move(cfg)),
-      graph_(std::make_unique<FlowGraph>(graph)),
+      graph_(std::make_unique<FlowGraph>(store)),
       sheet_(cfg_.sheet) {
   // Stage: compile.  The compiled CSR form itself always rebuilds (it is an
   // in-memory index, cheaper to recompute than to parse); the stage pins the

@@ -55,8 +55,9 @@ class FmeaFlow {
  public:
   /// Runs extraction and the nominal analysis.  `nl` must outlive the flow.
   FmeaFlow(const netlist::Netlist& nl, FlowConfig cfg);
-  /// Same, with an attached flow graph (artifact store / incremental mode).
-  FmeaFlow(const netlist::Netlist& nl, FlowConfig cfg, FlowGraphOptions graph);
+  /// Same, with the flow graph's stages backed by `store` (null = compute
+  /// every stage).
+  FmeaFlow(const netlist::Netlist& nl, FlowConfig cfg, ArtifactStore* store);
 
   [[nodiscard]] const netlist::Netlist& design() const noexcept { return *nl_; }
   [[nodiscard]] const zones::ZoneDatabase& zones() const noexcept {

@@ -15,15 +15,15 @@ obs::Json FlowGraph::stage(std::string_view name, std::uint64_t key,
   rec.inputHash = key;
 
   obs::Json artifact;
-  if (opt_.store != nullptr && opt_.incremental) {
-    if (auto stored = opt_.store->load(name, key)) {
+  if (store_ != nullptr) {
+    if (auto stored = store_->load(name, key)) {
       rec.cached = true;
       artifact = std::move(*stored);
     }
   }
   if (!rec.cached) {
     artifact = compute();
-    if (opt_.store != nullptr) opt_.store->save(name, key, artifact);
+    if (store_ != nullptr) store_->save(name, key, artifact);
   }
 
   rec.seconds =
@@ -49,7 +49,7 @@ obs::Json FlowGraph::report() const {
   j["stages"] = std::move(stages);
   j["stage_hits"] = static_cast<long long>(hits_);
   j["stage_misses"] = static_cast<long long>(misses_);
-  if (opt_.store != nullptr) j["store"] = opt_.store->statsJson();
+  if (store_ != nullptr) j["store"] = store_->statsJson();
   return j;
 }
 

@@ -24,37 +24,24 @@ struct StageRecord {
   double seconds = 0.0;
 };
 
-struct FlowGraphOptions {
-  ArtifactStore* store = nullptr;  ///< null = always compute, never persist
-  bool incremental = true;         ///< false = compute every stage (but still
-                                   ///< persist, warming the store)
-};
-
 class FlowGraph {
  public:
-  explicit FlowGraph(FlowGraphOptions opt = {}) : opt_(opt) {}
+  /// `store` null = always compute, never persist.
+  explicit FlowGraph(ArtifactStore* store) : store_(store) {}
 
   /// Runs stage `name` keyed by `key`: returns the stored artifact when the
-  /// store holds one under this key (and incremental mode is on), otherwise
-  /// invokes `compute`, persists its result and returns it.  `cached`, when
-  /// non-null, reports which path was taken.
+  /// store holds one under this key, otherwise invokes `compute`, persists
+  /// its result and returns it.  `cached`, when non-null, reports which
+  /// path was taken.
   obs::Json stage(std::string_view name, std::uint64_t key,
                   const std::function<obs::Json()>& compute,
                   bool* cached = nullptr);
-
-  [[nodiscard]] ArtifactStore* store() const noexcept { return opt_.store; }
-  [[nodiscard]] bool incremental() const noexcept { return opt_.incremental; }
-  [[nodiscard]] const std::vector<StageRecord>& records() const noexcept {
-    return records_;
-  }
-  [[nodiscard]] std::size_t stageHits() const noexcept { return hits_; }
-  [[nodiscard]] std::size_t stageMisses() const noexcept { return misses_; }
 
   /// Per-stage table + hit/miss totals (+ store stats when attached).
   [[nodiscard]] obs::Json report() const;
 
  private:
-  FlowGraphOptions opt_;
+  ArtifactStore* store_;
   std::vector<StageRecord> records_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

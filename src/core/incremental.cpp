@@ -98,12 +98,9 @@ std::optional<std::uint64_t> parseHex(const obs::Json* j) {
 
 IncrementalFlow::IncrementalFlow(const netlist::Netlist& nl, FlowConfig cfg,
                                  IncrementalOptions opt)
-    : nl_(&nl), opt_(opt) {
-  FlowGraphOptions g;
-  g.store = opt_.store;
-  g.incremental = opt_.incremental;
-  flow_ = std::make_unique<FmeaFlow>(nl, std::move(cfg), g);
-}
+    : nl_(&nl),
+      opt_(opt),
+      flow_(std::make_unique<FmeaFlow>(nl, std::move(cfg), opt_.store)) {}
 
 IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
     sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
@@ -161,19 +158,127 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
 
   IncrementalCampaign out;
   out.faultCount = faults.size();
+  out.tieredRun = opt_.tier.mode != inject::TierMode::Exact;
   inject::CoverageCollector cov(mgr.environment());
 
-  bool cached = false;
-  if (opt_.tier.mode != inject::TierMode::Exact) {
-    // Tiered path: two content-addressed stages replace the flat campaign
-    // stage.  "abstract_sweep" pins the SET→multi-SEU plan (cheap to
-    // recompute; its artifact documents the dedup the tier achieved);
-    // "escalation" holds the merged per-source records plus the measured
-    // accuracy envelope and reloads whole from the store, exactly like the
-    // exact campaign artifact.
-    out.tieredRun = true;
-    const std::uint64_t tierKey =
-        hashMix(campaignKey, tierOptionsHash(opt_.tier));
+  // The stored campaign artifact: the records, the per-input stimulus
+  // hashes the next delta diffs against, the options key, and on the tiered
+  // path the accuracy envelope.
+  const auto artifact = [&] {
+    obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
+    a["stimulus"] = stimJson;
+    a["opts_key"] = hashHex(optsKey);
+    if (out.tieredRun) a["tiers"] = out.tiers;
+    return a;
+  };
+
+  // Full recompute of the stage's verdicts on this design.
+  const auto runCold = [&] {
+    if (out.tieredRun) {
+      inject::TieredResult tr =
+          inject::runTieredCampaign(mgr, wl, faults, opt_.tier, &cov, copt);
+      out.tiers = tr.tiersJson();  // before the move: the intervals tally it
+      out.result = std::move(tr.merged);
+      out.delta.total = faults.size();
+      out.delta.simulated = tr.abstracted
+                                ? tr.tiers.abstractClasses +
+                                      tr.tiers.escalatedFaults
+                                : faults.size();
+    } else {
+      out.result = mgr.run(wl, faults, &cov, copt);
+      out.delta.total = faults.size();
+      out.delta.simulated = faults.size();
+    }
+  };
+
+  // Exact-path miss without a cold run: delta-merge against the previous
+  // head when possible, otherwise shard over worker processes when the job
+  // specs allow it.  Sets out.deltaRun / out.distributedRun on success.
+  const auto runDeltaOrSharded = [&] {
+    if (opt_.store != nullptr) {
+      // Branch fallback chain: this branch's own head, then the parent
+      // branch (the search's accepted architecture), then the base slot —
+      // the closest warm baseline wins.
+      auto head = opt_.store->loadHead(opt_.headSlot, opt_.headBranch);
+      if (!head && !opt_.headParent.empty()) {
+        head = opt_.store->loadHead(opt_.headSlot, opt_.headParent);
+      }
+      if (!head && !opt_.headBranch.empty()) {
+        head = opt_.store->loadHead(opt_.headSlot);
+      }
+      const obs::Json* text = head ? head->find("design_text") : nullptr;
+      const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
+      const auto prevKey =
+          head ? parseHex(head->find("campaign_key")) : std::nullopt;
+      if (text != nullptr && text->isString() && headOpts != nullptr &&
+          headOpts->isString() && headOpts->asString() == hashHex(optsKey) &&
+          prevKey) {
+        if (auto prevArt = opt_.store->load("campaign", *prevKey)) {
+          try {
+            const netlist::Netlist prev =
+                netlist::readNetlistString(text->asString());
+            const netlist::NetlistDiff d = netlist::diff(prev, nl);
+            // Inputs whose recorded stimulus stream changed seed the cone
+            // exactly like edited cells.
+            std::vector<netlist::NetId> extraSeeds;
+            const obs::Json* prevStim = prevArt->find("stimulus");
+            for (const auto& [name, hash] : stimJson.items()) {
+              const obs::Json* old =
+                  prevStim != nullptr ? prevStim->find(name) : nullptr;
+              if (old == nullptr || !old->isString() ||
+                  old->asString() != hash.asString()) {
+                if (const auto id = nl.findNet(name)) {
+                  extraSeeds.push_back(*id);
+                }
+              }
+            }
+            const netlist::AffectedCone cone =
+                netlist::affectedCone(*cd, d, extraSeeds);
+            const inject::CachedCampaign cache =
+                inject::CachedCampaign::fromJson(*prevArt);
+            out.result = inject::runCampaignDelta(
+                mgr, wl, faults, cache, cone, *cd, &cov, copt,
+                opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
+            out.deltaRun = true;
+          } catch (const std::exception&) {
+            out.deltaRun = false;  // unreadable head: cold below
+          }
+        }
+      }
+    }
+    if (!out.deltaRun && opt_.workers > 1 && opt_.designSpec.isObject() &&
+        opt_.workloadSpec.isObject()) {
+      // Sharded cold run: worker processes rebuild the design from the job
+      // spec and stream verdicts back; the merge goes through the same
+      // delta/revalidation path as a head diff, so the stored artifact is
+      // bit-identical to the in-process run's.
+      try {
+        const obs::Json job = serve::makeCampaignJob(
+            nl, db, flow_->config().alarmNames, seed, detectionWindow, copt,
+            opt_.designSpec, opt_.workloadSpec);
+        serve::DistributedOptions dopt;
+        dopt.workers = opt_.workers;
+        out.result = serve::runShardedCampaign(
+            mgr, wl, faults, *cd, job, dopt, opt_.revalidateFraction,
+            opt_.revalidateSeed, &cov, copt, &out.delta, &out.serveStats);
+        out.distributedRun = true;
+      } catch (const std::exception&) {
+        out.distributedRun = false;  // plumbing failure: cold below
+      }
+    }
+  };
+
+  // The exact path is one "campaign" stage.  The tiered path replaces it
+  // with two content-addressed stages: "abstract_sweep" pins the
+  // SET→multi-SEU plan (cheap to recompute; its artifact documents the
+  // dedup the tier achieved) and "escalation" holds the merged per-source
+  // records plus the measured accuracy envelope, reloading whole from the
+  // store exactly like the exact campaign artifact.
+  std::string_view stageName = "campaign";
+  std::uint64_t stageKey = campaignKey;
+  if (out.tieredRun) {
+    stageName = "escalation";
+    stageKey = hashMix(campaignKey, tierOptionsHash(opt_.tier));
     flow_->graph().stage(
         "abstract_sweep",
         hashMix(campaignKey, hashMix(0xAB57u, opt_.tier.maxFrontier)), [&] {
@@ -184,168 +289,41 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
           ao.maxFrontier = opt_.tier.maxFrontier;
           return fault::abstractTransients(*cd, faults, ao).toJson();
         });
-    const auto runTiered = [&] {
-      inject::TieredResult tr =
-          inject::runTieredCampaign(mgr, wl, faults, opt_.tier, &cov, copt);
-      out.tiers = tr.tiersJson();  // before the move: the intervals tally it
-      out.result = std::move(tr.merged);
-      out.delta.total = faults.size();
-      out.delta.simulated = tr.abstracted
-                                ? tr.tiers.abstractClasses +
-                                      tr.tiers.escalatedFaults
-                                : faults.size();
-    };
-    const obs::Json art = flow_->graph().stage(
-        "escalation", tierKey,
-        [&] {
-          runTiered();
-          obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
-          a["stimulus"] = stimJson;
-          a["opts_key"] = hashHex(optsKey);
-          a["tiers"] = out.tiers;
-          return a;
-        },
-        &cached);
-    if (cached) {
-      const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
-      const obs::Json* tiers = art.find("tiers");
-      auto records = inject::bindCampaignRecords(cache, nl, faults, db, effects);
-      if (records && tiers != nullptr && tiers->isObject()) {
-        out.result = inject::CampaignResult{};
-        out.result.records = std::move(*records);
-        for (const inject::InjectionRecord& rec : out.result.records) {
-          cov.account(rec.obs);
-        }
-        out.tiers = *tiers;
-        out.fullHit = true;
-        out.delta.total = faults.size();
-        out.delta.reused = faults.size();
-      } else {
-        // Key collision with a foreign artifact: recompute and overwrite.
-        runTiered();
-        obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
-        a["stimulus"] = stimJson;
-        a["opts_key"] = hashHex(optsKey);
-        a["tiers"] = out.tiers;
-        if (opt_.store != nullptr) {
-          opt_.store->save("escalation", tierKey, a);
-        }
-      }
-    }
-  } else {
-    const obs::Json art = flow_->graph().stage(
-        "campaign", campaignKey,
-        [&] {
-          // Miss: delta-merge against the previous head when possible,
-          // otherwise run cold.
-          if (opt_.store != nullptr && opt_.incremental) {
-            // Branch fallback chain: this branch's own head, then the
-            // parent branch (the search's accepted architecture), then the
-            // base slot — the closest warm baseline wins.
-            auto head = opt_.store->loadHead(opt_.headSlot, opt_.headBranch);
-            if (!head && !opt_.headParent.empty()) {
-              head = opt_.store->loadHead(opt_.headSlot, opt_.headParent);
-            }
-            if (!head && !opt_.headBranch.empty()) {
-              head = opt_.store->loadHead(opt_.headSlot);
-            }
-            const obs::Json* text =
-                head ? head->find("design_text") : nullptr;
-            const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
-            const auto prevKey =
-                head ? parseHex(head->find("campaign_key")) : std::nullopt;
-            if (text != nullptr && text->isString() && headOpts != nullptr &&
-                headOpts->isString() && headOpts->asString() == hashHex(optsKey) &&
-                prevKey) {
-              if (auto prevArt = opt_.store->load("campaign", *prevKey)) {
-                try {
-                  const netlist::Netlist prev =
-                      netlist::readNetlistString(text->asString());
-                  const netlist::NetlistDiff d = netlist::diff(prev, nl);
-                  // Inputs whose recorded stimulus stream changed seed the
-                  // cone exactly like edited cells.
-                  std::vector<netlist::NetId> extraSeeds;
-                  const obs::Json* prevStim = prevArt->find("stimulus");
-                  for (const auto& [name, hash] : stimJson.items()) {
-                    const obs::Json* old =
-                        prevStim != nullptr ? prevStim->find(name) : nullptr;
-                    if (old == nullptr || !old->isString() ||
-                        old->asString() != hash.asString()) {
-                      if (const auto id = nl.findNet(name)) {
-                        extraSeeds.push_back(*id);
-                      }
-                    }
-                  }
-                  const netlist::AffectedCone cone =
-                      netlist::affectedCone(*cd, d, extraSeeds);
-                  const inject::CachedCampaign cache =
-                      inject::CachedCampaign::fromJson(*prevArt);
-                  out.result = inject::runCampaignDelta(
-                      mgr, wl, faults, cache, cone, *cd, &cov, copt,
-                      opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
-                  out.deltaRun = true;
-                } catch (const std::exception&) {
-                  out.deltaRun = false;  // unreadable head: cold below
-                }
-              }
-            }
-          }
-          if (!out.deltaRun && opt_.workers > 1 && opt_.designSpec.isObject() &&
-              opt_.workloadSpec.isObject()) {
-            // Sharded cold run: worker processes rebuild the design from the
-            // job spec and stream verdicts back; the merge goes through the
-            // same delta/revalidation path as a head diff, so the artifact
-            // saved below is bit-identical to the in-process run's.
-            try {
-              const obs::Json job = serve::makeCampaignJob(
-                  nl, db, flow_->config().alarmNames, seed, detectionWindow,
-                  copt, opt_.designSpec, opt_.workloadSpec);
-              serve::DistributedOptions dopt = opt_.distributed;
-              dopt.workers = opt_.workers;
-              out.result = serve::runShardedCampaign(
-                  mgr, wl, faults, *cd, job, dopt, opt_.revalidateFraction,
-                  opt_.revalidateSeed, &cov, copt, &out.delta, &out.serveStats);
-              out.distributedRun = true;
-            } catch (const std::exception&) {
-              out.distributedRun = false;  // plumbing failure: cold below
-            }
-          }
-          if (!out.deltaRun && !out.distributedRun) {
-            out.result = mgr.run(wl, faults, &cov, copt);
-            out.delta.total = faults.size();
-            out.delta.simulated = faults.size();
-          }
-          obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
-          a["stimulus"] = stimJson;
-          a["opts_key"] = hashHex(optsKey);
-          return a;
-        },
-        &cached);
+  }
 
-    if (cached) {
-      // Whole-campaign hit: every verdict comes from the store.
-      const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
-      if (auto records =
-              inject::bindCampaignRecords(cache, nl, faults, db, effects)) {
-        out.result = inject::CampaignResult{};
-        out.result.records = std::move(*records);
-        for (const inject::InjectionRecord& rec : out.result.records) {
-          cov.account(rec.obs);
-        }
-        out.fullHit = true;
-        out.delta.total = faults.size();
-        out.delta.reused = faults.size();
-      } else {
-        // Key collision with a foreign artifact: recompute and overwrite.
-        out.result = mgr.run(wl, faults, &cov, copt);
-        out.delta.total = faults.size();
-        out.delta.simulated = faults.size();
-        obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
-        a["stimulus"] = stimJson;
-        a["opts_key"] = hashHex(optsKey);
-        if (opt_.store != nullptr) {
-          opt_.store->save("campaign", campaignKey, a);
-        }
+  bool cached = false;
+  const obs::Json art = flow_->graph().stage(
+      stageName, stageKey,
+      [&] {
+        if (!out.tieredRun) runDeltaOrSharded();
+        if (!out.deltaRun && !out.distributedRun) runCold();
+        return artifact();
+      },
+      &cached);
+
+  if (cached) {
+    // Whole-campaign hit: every verdict comes from the store.
+    const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
+    const obs::Json* tiers = art.find("tiers");
+    auto records = inject::bindCampaignRecords(cache, nl, faults, db, effects);
+    const bool tiersOk =
+        !out.tieredRun || (tiers != nullptr && tiers->isObject());
+    if (records && tiersOk) {
+      out.result = inject::CampaignResult{};
+      out.result.records = std::move(*records);
+      for (const inject::InjectionRecord& rec : out.result.records) {
+        cov.account(rec.obs);
+      }
+      if (out.tieredRun) out.tiers = *tiers;
+      out.fullHit = true;
+      out.delta.total = faults.size();
+      out.delta.reused = faults.size();
+    } else {
+      // A parseable artifact that does not bind (a key collision with a
+      // foreign artifact, a truncated record list): recompute and overwrite.
+      runCold();
+      if (opt_.store != nullptr) {
+        opt_.store->save(stageName, stageKey, artifact());
       }
     }
   }
@@ -404,17 +382,6 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   cj["campaign"] = out.result.toJson(&db);
   lastCampaign_ = std::move(cj);
   return out;
-}
-
-IncrementalFlow::CandidateEvaluation IncrementalFlow::evaluateCandidate(
-    const netlist::Netlist& nl, FlowConfig cfg, IncrementalOptions opt,
-    sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
-    std::uint64_t detectionWindow, const inject::CampaignOptions& copt) {
-  CandidateEvaluation ev;
-  ev.flow = std::make_unique<IncrementalFlow>(nl, std::move(cfg), opt);
-  ev.campaign =
-      ev.flow->runZoneFailureCampaign(wl, perBit, seed, detectionWindow, copt);
-  return ev;
 }
 
 obs::Json IncrementalFlow::report() const {

@@ -22,7 +22,6 @@ namespace socfmea::core {
 
 struct IncrementalOptions {
   ArtifactStore* store = nullptr;  ///< null = cold every time
-  bool incremental = true;
   /// Fraction of reusable faults re-simulated anyway to cross-check the
   /// cache (any mismatch re-simulates every reused fault).
   double revalidateFraction = 0.02;
@@ -50,14 +49,13 @@ struct IncrementalOptions {
   std::size_t memFaultsPerKind = 0;
   std::uint64_t memFaultSeed = 0x4D454Du;
   /// Multi-process campaign execution (serve/coordinator.hpp): when
-  /// workers > 1 AND the job specs below are set, a campaign-stage miss
-  /// without a usable head delta is sharded over worker processes instead
-  /// of run cold in-process.  The merged result flows through the same
-  /// delta/revalidation machinery, so it stays bit-identical to the serial
-  /// oracle (and lands in the store under the same key).
+  /// workers > 1 AND the job specs below are set, an exact campaign-stage
+  /// miss without a usable head delta is sharded over worker processes
+  /// instead of run cold in-process (the tiered stages never shard).  The
+  /// merged result flows through the same delta/revalidation machinery, so
+  /// it stays bit-identical to the serial oracle (and lands in the store
+  /// under the same key).
   unsigned workers = 1;
-  /// Worker-process tuning (workers above overrides distributed.workers).
-  serve::DistributedOptions distributed;
   /// serve/job.hpp design + workload specs describing this flow's design
   /// and stimulus; both must be objects for distribution to engage.
   obs::Json designSpec;
@@ -94,9 +92,6 @@ class IncrementalFlow {
 
   [[nodiscard]] FmeaFlow& flow() noexcept { return *flow_; }
   [[nodiscard]] const FmeaFlow& flow() const noexcept { return *flow_; }
-  [[nodiscard]] const IncrementalOptions& options() const noexcept {
-    return opt_;
-  }
 
   /// The paper's validation step (a) with delta reuse: enumerates the
   /// zone-failure fault list, then loads / delta-merges / cold-runs the
@@ -109,22 +104,6 @@ class IncrementalFlow {
 
   /// Flow-graph + store + last-campaign report section for --json output.
   [[nodiscard]] obs::Json report() const;
-
-  /// Batch candidate evaluation (the architecture-search entry point): one
-  /// flow + delta campaign for a candidate design over the shared warm
-  /// store.  `opt.headBranch` must name the candidate line (and
-  /// `opt.headParent` its baseline) so interleaved evaluations never thrash
-  /// each other's head snapshot.  Returns the campaign along with the flow
-  /// (for the sheet / zone database the scorer needs).
-  struct CandidateEvaluation {
-    std::unique_ptr<IncrementalFlow> flow;
-    IncrementalCampaign campaign;
-  };
-  [[nodiscard]] static CandidateEvaluation evaluateCandidate(
-      const netlist::Netlist& nl, FlowConfig cfg, IncrementalOptions opt,
-      sim::Workload& wl, std::size_t perBit, std::uint64_t seed,
-      std::uint64_t detectionWindow,
-      const inject::CampaignOptions& copt = {});
 
  private:
   const netlist::Netlist* nl_;

@@ -51,7 +51,8 @@ struct RunOptions {
   std::uint64_t detectionWindow = 24;
   inject::TierMode tier = inject::TierMode::Exact;
   /// >= 2 runs the campaign through the sharded multi-process coordinator
-  /// (serve::runShardedCampaign) instead of in-process.
+  /// (serve::runShardedCampaign) instead of in-process.  The sharded path
+  /// runs exact campaigns only: `tier` is not consulted there.
   unsigned workers = 0;
   /// Worker argv for the sharded path; empty = {"/proc/self/exe",
   /// "--serve-worker"} (the caller must handle that flag).  Test binaries

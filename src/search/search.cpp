@@ -194,13 +194,13 @@ const ArchitectureSearch::Eval& ArchitectureSearch::evaluate(
   memsys::ProtectionIpWorkload wl(built.design, wopt);
   inject::CampaignOptions copt;
   copt.engine = opt_.engine;
-  auto run = core::IncrementalFlow::evaluateCandidate(
-      built.design.nl, built.cfg, iopt, wl, opt_.perBit, opt_.campaignSeed,
-      opt_.detectionWindow, copt);
+  core::IncrementalFlow inc(built.design.nl, built.cfg, iopt);
+  core::IncrementalCampaign camp = inc.runZoneFailureCampaign(
+      wl, opt_.perBit, opt_.campaignSeed, opt_.detectionWindow, copt);
 
-  ev->crit = CriticalityMap::fromCampaign(
-      built.design.nl, run.flow->flow().zones(), run.campaign.result,
-      &run.flow->flow().sheet(), opt_.criticality);
+  ev->crit = CriticalityMap::fromCampaign(built.design.nl, inc.flow().zones(),
+                                          camp.result, &inc.flow().sheet(),
+                                          opt_.criticality);
 
   CandidateScore& s = ev->score;
   s.id = id;
@@ -209,14 +209,14 @@ const ArchitectureSearch::Eval& ArchitectureSearch::evaluate(
   s.analyticSff = ev->crit.analyticSff();
   s.measuredSff = ev->crit.measuredSff();
   s.gateCost = built.gateCost;
-  s.faultsTotal = run.campaign.delta.total;
-  s.faultsSimulated = run.campaign.delta.simulated;
-  s.faultsReused = run.campaign.delta.reused;
-  s.fullHit = run.campaign.fullHit;
+  s.faultsTotal = camp.delta.total;
+  s.faultsSimulated = camp.delta.simulated;
+  s.faultsReused = camp.delta.reused;
+  s.fullHit = camp.fullHit;
   s.round = round;
   ev->design = std::move(built.design);
   ev->applied = std::move(built.applied);
-  ev->records = std::move(run.campaign.result.records);
+  ev->records = std::move(camp.result.records);
 
   faultsTotal_ += s.faultsTotal;
   faultsSimulated_ += s.faultsSimulated;
@@ -285,8 +285,6 @@ bool ArchitectureSearch::verifyBitIdentity(const Eval& best) {
   // Cold flat re-run: no store, no delta, no workers — the reference path.
   BuiltCandidate built = buildCandidate(best.score.specs, best.score.id);
   core::IncrementalOptions iopt;
-  iopt.store = nullptr;
-  iopt.incremental = false;
   iopt.memFaultsPerKind = opt_.memFaultsPerKind;
   iopt.tier = opt_.tier;
   memsys::ProtectionIpWorkload::Options wopt;
@@ -296,11 +294,10 @@ bool ArchitectureSearch::verifyBitIdentity(const Eval& best) {
   memsys::ProtectionIpWorkload wl(built.design, wopt);
   inject::CampaignOptions copt;
   copt.engine = opt_.engine;
-  auto cold = core::IncrementalFlow::evaluateCandidate(
-      built.design.nl, built.cfg, iopt, wl, opt_.perBit, opt_.campaignSeed,
-      opt_.detectionWindow, copt);
-  return sameVerdicts(built.design.nl, best.records,
-                      cold.campaign.result.records);
+  core::IncrementalFlow inc(built.design.nl, built.cfg, iopt);
+  const core::IncrementalCampaign cold = inc.runZoneFailureCampaign(
+      wl, opt_.perBit, opt_.campaignSeed, opt_.detectionWindow, copt);
+  return sameVerdicts(built.design.nl, best.records, cold.result.records);
 }
 
 SearchResult ArchitectureSearch::run() {

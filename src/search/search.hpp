@@ -3,9 +3,9 @@
 // architecture (search/criticality.hpp), proposes additive transforms
 // against the top-ranked zones (search/transforms.hpp), scores every
 // candidate with a delta campaign over one shared warm artifact store
-// (core::IncrementalFlow::evaluateCandidate, per-branch heads), and walks
-// the SFF-vs-gate-cost Pareto frontier greedily with beam backtracking
-// until the SIL3 margin holds or the campaign budget runs out.
+// (core::IncrementalFlow, per-branch heads), and walks the SFF-vs-gate-cost
+// Pareto frontier greedily with beam backtracking until the SIL3 margin
+// holds or the campaign budget runs out.
 #pragma once
 
 #include <functional>

@@ -120,43 +120,6 @@ obs::Json campaignOptionsToJson(const netlist::Netlist& nl,
 
 }  // namespace
 
-obs::Json tierOptionsToJson(const inject::TierOptions& topt) {
-  obs::Json j = obs::Json::object();
-  j["mode"] = std::string(inject::tierModeName(topt.mode));
-  j["boundary_margin"] = static_cast<long long>(topt.boundaryMargin);
-  j["audit_fraction"] = topt.auditFraction;
-  j["audit_seed"] = static_cast<long long>(topt.auditSeed);
-  j["max_frontier"] = static_cast<long long>(topt.maxFrontier);
-  return j;
-}
-
-std::optional<inject::TierOptions> tierOptionsFromJson(const obs::Json& j) {
-  if (!j.isObject()) return std::nullopt;
-  inject::TierOptions t;
-  const obs::Json* mode = j.find("mode");
-  if (mode == nullptr || !mode->isString()) return std::nullopt;
-  const auto m = inject::tierModeFromName(mode->asString());
-  if (!m) return std::nullopt;
-  t.mode = *m;
-  if (const obs::Json* v = j.find("boundary_margin");
-      v != nullptr && v->isNumber()) {
-    t.boundaryMargin = static_cast<std::uint64_t>(v->asInt());
-  }
-  if (const obs::Json* v = j.find("audit_fraction");
-      v != nullptr && v->isNumber()) {
-    t.auditFraction = v->asDouble();
-  }
-  if (const obs::Json* v = j.find("audit_seed");
-      v != nullptr && v->isNumber()) {
-    t.auditSeed = static_cast<std::uint64_t>(v->asInt());
-  }
-  if (const obs::Json* v = j.find("max_frontier");
-      v != nullptr && v->isNumber()) {
-    t.maxFrontier = static_cast<std::size_t>(v->asInt());
-  }
-  return t;
-}
-
 obs::Json makeCampaignJob(const netlist::Netlist& nl,
                           const zones::ZoneDatabase& db,
                           const std::vector<std::string>& alarmNames,
@@ -164,8 +127,7 @@ obs::Json makeCampaignJob(const netlist::Netlist& nl,
                           std::uint64_t detectionWindow,
                           const inject::CampaignOptions& copt,
                           const obs::Json& designSpec,
-                          const obs::Json& workloadSpec,
-                          const inject::TierOptions* tier) {
+                          const obs::Json& workloadSpec) {
   obs::Json j = obs::Json::object();
   j["type"] = "job";
   j["kind"] = "campaign";
@@ -180,7 +142,6 @@ obs::Json makeCampaignJob(const netlist::Netlist& nl,
   env["window"] = static_cast<long long>(detectionWindow);
   j["env"] = std::move(env);
   j["campaign"] = campaignOptionsToJson(nl, copt);
-  if (tier != nullptr) j["tier"] = tierOptionsToJson(*tier);
   j["workload"] = workloadSpec;
   return j;
 }

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "inject/manager.hpp"
-#include "inject/tiered.hpp"
 #include "memsys/gatelevel.hpp"
 #include "obs/json.hpp"
 #include "search/transforms.hpp"
@@ -26,7 +25,7 @@ namespace socfmea::serve {
 /// Applies one Section-6 architectural measure name to the v1 baseline
 /// options ("none", "wbuf-parity", "post-coder", "redundant-checker",
 /// "addr-in-code", "v2"); false on an unknown name.  Shared by the flow
-/// CLIs, the campaign server and the worker-side design builder.
+/// CLIs and the worker-side design builder.
 [[nodiscard]] bool applyProtectionEdit(std::string_view edit,
                                        memsys::GateLevelOptions& o);
 
@@ -57,23 +56,11 @@ namespace socfmea::serve {
 /// Builds a "campaign" job: the worker reconstructs design + zones +
 /// effects + environment + workload and answers each work chunk with
 /// campaign_artifact records (inject::campaignRecordsToJson entries).
-/// A non-null `tier` stamps the job tier-aware: the spec records which
-/// tier (abstract sweep vs exact escalation) the chunks belong to plus the
-/// tier knobs, so a worker pool can prioritize the cheap abstract shards
-/// and a coordinator can attribute streamed verdicts to the right tier.
 [[nodiscard]] obs::Json makeCampaignJob(
     const netlist::Netlist& nl, const zones::ZoneDatabase& db,
     const std::vector<std::string>& alarmNames, std::uint64_t envSeed,
     std::uint64_t detectionWindow, const inject::CampaignOptions& copt,
-    const obs::Json& designSpec, const obs::Json& workloadSpec,
-    const inject::TierOptions* tier = nullptr);
-
-/// Name-based tier-options spec embedded in tier-aware campaign jobs.
-[[nodiscard]] obs::Json tierOptionsToJson(const inject::TierOptions& topt);
-/// Parses tierOptionsToJson(); nullopt on a malformed spec (an absent
-/// "tier" field in a job simply means the historical exact campaign).
-[[nodiscard]] std::optional<inject::TierOptions> tierOptionsFromJson(
-    const obs::Json& j);
+    const obs::Json& designSpec, const obs::Json& workloadSpec);
 
 /// Builds a "faultsim" job: the worker replays the vector workload through
 /// the serial fault-sim oracle and answers each chunk with

@@ -45,7 +45,7 @@ class LineReader {
   std::string buf_;
 };
 
-// Tolerant field accessors shared by the job/worker/server message parsers:
+// Tolerant field accessors shared by the job/worker message parsers:
 // a missing or mistyped member yields the default instead of throwing, so a
 // malformed request degrades to an error reply, not a dead process.
 [[nodiscard]] std::string msgString(const obs::Json& m, std::string_view key,

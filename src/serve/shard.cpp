@@ -37,13 +37,4 @@ ShardPlan planShards(const fault::FaultList& faults, unsigned workers,
   return plan;
 }
 
-TieredShardPlan planTieredShards(const fault::FaultList& abstractFaults,
-                                 const fault::FaultList& exactFaults,
-                                 unsigned workers, std::size_t chunkFaults) {
-  TieredShardPlan plan;
-  plan.abstract_ = planShards(abstractFaults, workers, chunkFaults);
-  plan.exact = planShards(exactFaults, workers, chunkFaults);
-  return plan;
-}
-
 }  // namespace socfmea::serve

@@ -32,24 +32,4 @@ struct ShardPlan {
                                    unsigned workers,
                                    std::size_t chunkFaults = 0);
 
-/// Shard plan for a tiered campaign: the deduplicated abstract sweep and
-/// the exact escalation list are planned as separate chunk sets so a
-/// coordinator can deal the cheap abstract shards first (their verdicts
-/// decide which sources escalate) and attribute streamed results per tier.
-struct TieredShardPlan {
-  ShardPlan abstract_;  ///< chunks over the abstract class list
-  ShardPlan exact;      ///< chunks over the escalated source-fault list
-
-  [[nodiscard]] std::size_t chunkCount() const noexcept {
-    return abstract_.chunks.size() + exact.chunks.size();
-  }
-};
-
-/// Plans both tiers with the same chunking policy.  Chunk sizing is
-/// computed per tier (the abstract list is typically much shorter), and
-/// either list may be empty — its plan then has no chunks.
-[[nodiscard]] TieredShardPlan planTieredShards(
-    const fault::FaultList& abstractFaults, const fault::FaultList& exactFaults,
-    unsigned workers, std::size_t chunkFaults = 0);
-
 }  // namespace socfmea::serve

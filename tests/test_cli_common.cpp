@@ -122,6 +122,23 @@ TEST(CliCommon, RetiredEngineNamesAreErrors) {
             socfmea::faultsim::EngineKind::Serial);
 }
 
+TEST(CliCommon, NonExactTierWithWorkersIsAnError) {
+  // The sharded path runs exact campaigns only; one worker (or none) runs
+  // in-process, where every tier applies.
+  using socfmea::inject::TierMode;
+  std::string error;
+  EXPECT_TRUE(cli::checkTierWorkers(TierMode::Exact, 4, error));
+  EXPECT_TRUE(cli::checkTierWorkers(TierMode::Abstract, 0, error));
+  EXPECT_TRUE(cli::checkTierWorkers(TierMode::Auto, 1, error));
+  EXPECT_TRUE(error.empty()) << error;
+  for (const TierMode mode : {TierMode::Abstract, TierMode::Auto}) {
+    error.clear();
+    EXPECT_FALSE(cli::checkTierWorkers(mode, 2, error));
+    EXPECT_NE(error.find("--tier"), std::string::npos) << error;
+    EXPECT_NE(error.find("--workers 2"), std::string::npos) << error;
+  }
+}
+
 TEST(CliCommon, UsageTextCoversEverySharedFlag) {
   for (const char* flag :
        {"--json", "--cache-dir", "--workers", "--engine", "--tier"}) {

@@ -4,7 +4,8 @@
 //     enumeration are pure functions of the design, and the text format is
 //     a write/parse fixed point (the precondition for content addressing);
 //   * the artifact store — round trips, head slots, LRU fallback to disk,
-//     and corrupt files degrading to a recomputable miss;
+//     corrupt files degrading to a recomputable miss, and a parseable
+//     artifact that does not bind being recomputed and overwritten;
 //   * the oracle — every Section-6 v1 -> v2 architectural edit, run as a
 //     delta on a store warmed with the v1 baseline, must produce campaign
 //     records and an SFF bit-identical to a cold run of the edited design;
@@ -15,6 +16,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -416,6 +418,79 @@ TEST(IncrementalOracleTest, TieredFlowMatchesExactAndStoreHitKeepsTiers) {
   EXPECT_EQ(warm.delta.reused, warm.delta.total);
   expectSameRecords(cold.result, warm.result);
   EXPECT_EQ(cold.tiers.dump(0), warm.tiers.dump(0));
+}
+
+// A stored artifact that parses but does not bind to the current fault list
+// (here: one record dropped) must never be rebound into metrics.  The flow
+// recomputes the stage, overwrites the artifact with the cold run's bytes,
+// and the next identical run is a full store hit again — for the exact
+// "campaign" stage and for the tiered "escalation" stage alike.
+TEST(IncrementalOracleTest, UnbindableStoredArtifactIsRecomputedAndOverwritten) {
+  const ms::GateLevelDesign v1 =
+      ms::buildProtectionIp(ms::GateLevelOptions::v1());
+  for (const inject::TierMode mode :
+       {inject::TierMode::Exact, inject::TierMode::Abstract}) {
+    const std::string stage =
+        mode == inject::TierMode::Exact ? "campaign" : "escalation";
+    SCOPED_TRACE(stage);
+    const fs::path dir = freshDir("unbindable-" + stage);
+    const auto run = [&](Json* report) {
+      core::ArtifactStore store(dir);
+      core::IncrementalOptions iopt = oracleOptions(&store);
+      iopt.tier.mode = mode;
+      core::IncrementalFlow inc(v1.nl, core::makeFrmemFlowConfig(v1), iopt);
+      ms::ProtectionIpWorkload::Options wopt;
+      wopt.cycles = kOracleCycles;
+      ms::ProtectionIpWorkload wl(v1, wopt);
+      core::IncrementalCampaign camp =
+          inc.runZoneFailureCampaign(wl, /*perBit=*/1, /*seed=*/7,
+                                     /*detectionWindow=*/24);
+      if (report != nullptr) *report = inc.report();
+      return camp;
+    };
+
+    Json report;
+    const core::IncrementalCampaign cold = run(&report);
+    ASSERT_FALSE(cold.fullHit);
+    std::optional<std::uint64_t> key;
+    for (const Json& st : report.find("graph")->find("stages")->elements()) {
+      if (st.find("name")->asString() == stage) {
+        key = std::stoull(st.find("input_hash")->asString(), nullptr, 16);
+      }
+    }
+    ASSERT_TRUE(key.has_value());
+
+    std::string coldBytes;
+    {
+      core::ArtifactStore store(dir);
+      std::optional<Json> art = store.load(stage, *key);
+      ASSERT_TRUE(art.has_value());
+      coldBytes = art->dump(0);
+      const std::vector<Json>& records = art->find("records")->elements();
+      ASSERT_GT(records.size(), 1u);
+      Json truncated = Json::array();
+      for (std::size_t i = 1; i < records.size(); ++i) {
+        truncated.push_back(records[i]);
+      }
+      (*art)["records"] = std::move(truncated);
+      store.save(stage, *key, *art);
+    }
+
+    const core::IncrementalCampaign rerun = run(nullptr);
+    EXPECT_FALSE(rerun.fullHit);
+    expectSameRecords(cold.result, rerun.result);
+    EXPECT_EQ(cold.tiers.dump(0), rerun.tiers.dump(0));
+    {
+      core::ArtifactStore store(dir);
+      const std::optional<Json> art = store.load(stage, *key);
+      ASSERT_TRUE(art.has_value());
+      EXPECT_EQ(art->dump(0), coldBytes);
+    }
+
+    const core::IncrementalCampaign third = run(nullptr);
+    EXPECT_TRUE(third.fullHit);
+    expectSameRecords(cold.result, third.result);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@
 //   * the campaign form — runShardedCampaign equals InjectionManager::run
 //     record-for-record on the protection IP;
 //   * the worker — a job naming an unknown campaign engine (including the
-//     retired "threaded" / "auto") gets an error reply, not the default;
-//   * the daemon — submit / re-submit (store hit) / jobs / report /
-//     shutdown over the line-delimited JSON API.
+//     retired "threaded" / "auto") gets an error reply, not the default.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -27,7 +25,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,7 +43,6 @@
 #include "serve/coordinator.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
 #include "serve/shard.hpp"
 #include "serve/worker.hpp"
 #include "testkit/netlist_gen.hpp"
@@ -505,75 +501,5 @@ TEST(ServeWorker, UnknownCampaignEngineIsAnErrorReply) {
                 std::string::npos);
     }
   }
-  fs::remove_all(dir);
-}
-
-// ------------------------------------------------------------------ daemon
-
-TEST(ServeServer, SubmitJobsReportShutdownRoundTrip) {
-  const fs::path dir = freshDir("socfmea-serve-daemon");
-  serve::ServerOptions opt;
-  opt.cacheDir = dir;
-  serve::CampaignServer server(std::move(opt));
-
-  Json ping = Json::object();
-  ping["type"] = "ping";
-  EXPECT_EQ(serve::msgString(server.handle(ping), "type"), "pong");
-
-  Json submit = Json::object();
-  submit["type"] = "submit";
-  submit["edit"] = "none";
-  submit["cycles"] = static_cast<std::int64_t>(300);
-  submit["mem_faults_per_kind"] = static_cast<std::int64_t>(4);
-  const Json first = server.handle(submit);
-  ASSERT_EQ(serve::msgString(first, "type"), "result");
-  EXPECT_FALSE(serve::msgBool(first, "full_hit"));
-  EXPECT_GT(serve::msgInt(first, "fault_count"), 0);
-
-  // Identical resubmission: the shared warm store answers everything.
-  const Json second = server.handle(submit);
-  ASSERT_EQ(serve::msgString(second, "type"), "result");
-  EXPECT_TRUE(serve::msgBool(second, "full_hit"));
-
-  Json jobs = Json::object();
-  jobs["type"] = "jobs";
-  const Json list = server.handle(jobs);
-  ASSERT_EQ(serve::msgString(list, "type"), "jobs");
-  EXPECT_EQ(list.find("jobs")->elements().size(), 2u);
-
-  Json report = Json::object();
-  report["type"] = "report";
-  report["job"] = static_cast<std::int64_t>(1);
-  EXPECT_EQ(serve::msgString(server.handle(report), "type"), "report");
-
-  Json bogus = Json::object();
-  bogus["type"] = "no-such-op";
-  EXPECT_EQ(serve::msgString(server.handle(bogus), "type"), "error");
-  fs::remove_all(dir);
-}
-
-TEST(ServeServer, ServeLoopAnswersLineDelimitedStreams) {
-  const fs::path dir = freshDir("socfmea-serve-loop");
-  serve::ServerOptions opt;
-  opt.cacheDir = dir;
-  serve::CampaignServer server(std::move(opt));
-
-  std::istringstream in(
-      "{\"type\":\"ping\"}\n"
-      "this line is not json and must not kill the daemon\n"
-      "{\"type\":\"shutdown\"}\n");
-  std::ostringstream out;
-  EXPECT_EQ(server.serve(in, out), 0);
-
-  std::vector<std::string> replies;
-  std::istringstream lines(out.str());
-  for (std::string l; std::getline(lines, l);) replies.push_back(l);
-  ASSERT_GE(replies.size(), 2u);
-  const auto pong = serve::parseMessage(replies.front());
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_EQ(serve::msgString(*pong, "type"), "pong");
-  const auto bye = serve::parseMessage(replies.back());
-  ASSERT_TRUE(bye.has_value());
-  EXPECT_EQ(serve::msgString(*bye, "type"), "bye");
   fs::remove_all(dir);
 }

@@ -107,6 +107,11 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
+  if (std::string error;
+      !cli::checkTierWorkers(flags.tier, flags.workers, error)) {
+    std::cerr << error << "\n";
+    return 2;
+  }
 
   std::string storeError;
   auto storeOpt = cli::openStore(flags, storeError);

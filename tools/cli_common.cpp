@@ -86,12 +86,23 @@ const std::string& commonUsageDetails() {
   static const std::string s =
       "  --json       machine-readable report path\n"
       "  --cache-dir  artifact store for the flow graph / delta campaign\n"
-      "  --workers    shard campaigns over N worker processes\n"
+      "  --workers    shard campaigns over N worker processes (exact tier"
+      " only)\n"
       "  --engine     campaign engine: serial | bitsliced\n"
       "  --tier       campaign tier: abstract | exact | auto (abstract ="
       " SET->multi-SEU sweep\n"
       "               with exact-resim escalation)\n";
   return s;
+}
+
+bool checkTierWorkers(inject::TierMode tier, unsigned workers,
+                      std::string& error) {
+  if (workers < 2 || tier == inject::TierMode::Exact) return true;
+  error = std::string("--tier ") + std::string(inject::tierModeName(tier)) +
+          " cannot be combined with --workers " + std::to_string(workers) +
+          ": sharded campaigns run exact only (use --tier exact or drop"
+          " --workers)";
+  return false;
 }
 
 std::optional<std::unique_ptr<core::ArtifactStore>> openStore(

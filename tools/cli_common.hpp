@@ -55,6 +55,12 @@ enum class FlagStatus {
 [[nodiscard]] const std::string& commonUsageSynopsis();
 [[nodiscard]] const std::string& commonUsageDetails();
 
+/// The sharded campaign path (--workers >= 2) runs exact campaigns only.
+/// False, with `error` set to the one diagnostic every tool prints, when a
+/// non-exact --tier is combined with it.
+[[nodiscard]] bool checkTierWorkers(inject::TierMode tier, unsigned workers,
+                                    std::string& error);
+
 /// Opens the artifact store behind --cache-dir (validateDir + construct).
 /// Holds nullptr when the flag was absent; std::nullopt (with `error` set)
 /// when the directory is unusable.

@@ -129,9 +129,13 @@ Args parseArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed") {
-      a.seed = std::strtoull(value(i).c_str(), nullptr, 0);
+      if (!cli::parseUnsigned64(value(i).c_str(), a.seed)) {
+        usage("--seed needs an unsigned 64-bit integer");
+      }
     } else if (arg == "--runs") {
-      a.runs = std::strtoull(value(i).c_str(), nullptr, 0);
+      if (!cli::parseUnsigned64(value(i).c_str(), a.runs)) {
+        usage("--runs needs an unsigned count");
+      }
     } else if (arg == "--threads") {
       if (!cli::parseUnsigned(value(i).c_str(), a.threads)) {
         usage("--threads needs an unsigned count");
@@ -155,7 +159,9 @@ Args parseArgs(int argc, char** argv) {
       if (i + 1 >= argc) usage("--replay needs <design.nl> <plan.plan>");
       a.replayPlan = argv[++i];
     } else if (arg == "--cpu") {
-      a.cpuRuns = std::strtoull(value(i).c_str(), nullptr, 0);
+      if (!cli::parseUnsigned64(value(i).c_str(), a.cpuRuns)) {
+        usage("--cpu needs an unsigned count");
+      }
     } else if (arg == "--pin-corpus") {
       a.pinDir = value(i);
     } else if (arg == "--help" || arg == "-h") {
