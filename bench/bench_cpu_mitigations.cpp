@@ -7,8 +7,8 @@
 //
 // Cross-engine verdict identity (serial vs bit-sliced on 1 and 4 threads) is
 // asserted here before any number is reported; the hard gates are
-// test_mitigations' CrossEngineVerdictIdentity (which adds the sharded
-// multi-process path) and the differential oracle behind fuzz_diff --cpu.
+// test_mitigations' CrossEngineVerdictIdentity and the differential oracle
+// behind fuzz_diff --cpu.
 #include "bench_util.hpp"
 #include "cpu/scenarios.hpp"
 #include "fmea/iec61508.hpp"

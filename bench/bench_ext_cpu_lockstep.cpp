@@ -39,7 +39,7 @@ void printTable() {
     const auto profile =
         inject::OperationalProfile::record(flow.zones(), wl);
     // The tiered campaign over the compiled design — the same path the
-    // scenario suite (bench_cpu_mitigations) and the sharded service use.
+    // scenario suite (bench_cpu_mitigations) uses.
     const auto tiered = inject::runTieredCampaign(
         mgr, wl, mgr.zoneFailureFaults(profile, 2, 9), {});
     const auto& res = tiered.merged;

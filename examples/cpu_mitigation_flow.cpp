@@ -2,20 +2,16 @@
 //
 //   cpu_mitigation_flow [--scenario <name>] [--json <path>] [--records]
 //                       [--tier exact|abstract|auto] [--engine
-//                       serial|bitsliced] [--workers <W>]
-//                       [--per-bit <N>] [--seed <S>]
+//                       serial|bitsliced] [--per-bit <N>] [--seed <S>]
 //
 // Runs every scenario of cpu::scenarios::all() (or just --scenario) through
 // the full flow — FMEA analysis, profile-guided zone-failure fault list,
 // injection campaign — and prints the HW-vs-SW comparison table: analytic
 // SFF/DC/SIL next to the measured SFF/DDF of each mitigation, all against
-// the unprotected baseline.  --workers >= 2 shards the campaign over worker
-// processes (this binary re-exec'd with --serve-worker; exact tier only);
-// --records dumps every injection record for cross-engine debugging.  A
-// malformed value (unknown engine/tier, --per-bit 0, a non-numeric count or
-// seed, a non-exact tier with --workers >= 2) exits 2.
+// the unprotected baseline.  --records dumps every injection record for
+// cross-engine debugging.  A malformed value (unknown engine/tier,
+// --per-bit 0, a non-numeric count or seed) exits 2.
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -25,8 +21,6 @@
 #include "cpu/scenarios.hpp"
 #include "fault/fault.hpp"
 #include "fmea/iec61508.hpp"
-#include "serve/job.hpp"
-#include "serve/worker.hpp"
 #include "tools/cli_common.hpp"
 
 using namespace socfmea;
@@ -47,8 +41,7 @@ struct Args {
                " [--records]\n"
                "                           [--tier exact|abstract|auto]"
                " [--engine serial|bitsliced]\n"
-               "                           [--workers <W>] [--per-bit <N>]"
-               " [--seed <S>]\n"
+               "                           [--per-bit <N>] [--seed <S>]\n"
                "  --engine   campaign engine (default serial)\n"
                "  --per-bit  faults per zone bit, >= 1 (default 2)\n"
                "  --seed     64-bit fault-sampling seed (default 8)\n"
@@ -77,13 +70,9 @@ Args parseArgs(int argc, char** argv) {
       if (!m) usage("unknown tier mode (exact|abstract|auto)");
       a.run.tier = *m;
     } else if (arg == "--engine") {
-      const auto k = serve::engineKindFromName(value(i));
+      const auto k = faultsim::engineKindFromName(value(i));
       if (!k) usage("unknown engine (serial|bitsliced)");
       a.run.campaign.engine = *k;
-    } else if (arg == "--workers") {
-      if (!cli::parseUnsigned(value(i).c_str(), a.run.workers)) {
-        usage("--workers needs an unsigned count");
-      }
     } else if (arg == "--per-bit") {
       unsigned perBit = 0;
       if (!cli::parseUnsigned(value(i).c_str(), perBit) || perBit == 0) {
@@ -99,10 +88,6 @@ Args parseArgs(int argc, char** argv) {
     } else {
       usage(("unknown option '" + arg + "'").c_str());
     }
-  }
-  if (std::string error;
-      !cli::checkTierWorkers(a.run.tier, a.run.workers, error)) {
-    usage(error.c_str());
   }
   return a;
 }
@@ -127,9 +112,6 @@ void printRow(const sc::Scenario& s, const sc::ScenarioResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return serve::workerMain();
-  }
   const Args a = parseArgs(argc, argv);
 
   std::vector<const sc::Scenario*> selected;
@@ -185,7 +167,6 @@ int main(int argc, char** argv) {
     doc["tier"] = std::string(inject::tierModeName(a.run.tier));
     doc["per_bit"] = static_cast<std::uint64_t>(a.run.perBit);
     doc["seed"] = a.run.seed;
-    doc["workers"] = static_cast<std::uint64_t>(a.run.workers);
     doc["scenarios"] = jScenarios;
     std::ofstream out(a.jsonPath);
     if (!out) {

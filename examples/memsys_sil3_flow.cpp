@@ -12,7 +12,6 @@
 //   4. validate the FMEA with the fault-injection flow (steps a-d).
 #include <iostream>
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -30,7 +29,6 @@
 #include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/job.hpp"
-#include "serve/worker.hpp"
 #include "tools/cli_common.hpp"
 
 using namespace socfmea;
@@ -48,10 +46,9 @@ int usage(const char* argv0) {
                " (implies incremental mode)\n"
                "  --max-resim  fail (exit 3) when the campaign re-simulates"
                " more than this fraction\n"
-               "(--cache-dir, --workers, --tier, --edit and --max-resim"
-               " imply the incremental\n"
-               " flow-graph mode; --engine applies to either mode, default"
-               " serial)\n";
+               "(--cache-dir, --tier, --edit and --max-resim imply the"
+               " incremental flow-graph\n"
+               " mode; --engine applies to either mode, default serial)\n";
   return 2;
 }
 
@@ -59,7 +56,7 @@ int usage(const char* argv0) {
 /// baseline with one architectural edit applied, reusing whatever the
 /// artifact store already holds from previous iterations.
 int runIncremental(const char* jsonPath, const char* cacheDir,
-                   const std::string& edit, double maxResim, unsigned workers,
+                   const std::string& edit, double maxResim,
                    faultsim::EngineKind engine, inject::TierMode tier) {
   memsys::GateLevelOptions gopt = memsys::GateLevelOptions::v1();
   if (!serve::applyProtectionEdit(edit, gopt)) {
@@ -88,13 +85,6 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
   // quota with a deterministic per-kind sample (same keys on every variant).
   iopt.memFaultsPerKind = 48;
   iopt.tier.mode = tier;
-  if (workers > 1) {
-    iopt.workers = workers;
-    iopt.designSpec = serve::protectionIpDesignSpec(edit);
-    iopt.workloadSpec = serve::protectionIpWorkloadSpec(
-        wopt.cycles, wopt.seed, wopt.resetCycles, wopt.exerciseBist,
-        wopt.exerciseMpu, wopt.plantEccErrors, wopt.pacing);
-  }
 
   core::IncrementalFlow inc(dut.nl, core::makeFrmemFlowConfig(dut), iopt);
   std::cout << "==== incremental flow: v1 + edit '" << edit << "' ====\n";
@@ -119,10 +109,7 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
                     ? " [full store hit]"
                     : (camp.deltaRun
                            ? " [delta run]"
-                           : (camp.distributedRun
-                                  ? " [distributed]"
-                                  : (camp.tieredRun ? " [tiered]"
-                                                    : " [cold]"))))
+                           : (camp.tieredRun ? " [tiered]" : " [cold]")))
             << "\n";
   if (camp.tieredRun) {
     const auto ti = [&](const char* k) -> long long {
@@ -139,13 +126,6 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
               << (agree != nullptr && agree->isNumber() ? agree->asDouble()
                                                         : 1.0)
               << "\n";
-  }
-  if (camp.distributedRun) {
-    std::cout << "distributed: " << camp.serveStats.workersSpawned
-              << " workers, " << camp.serveStats.chunksTotal << " chunks ("
-              << camp.serveStats.chunksRequeued << " requeued, "
-              << camp.serveStats.workersLost << " workers lost, "
-              << camp.serveStats.faultsFallback << " faults run locally)\n";
   }
 
   if (jsonPath != nullptr) {
@@ -174,12 +154,6 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-exec entry for --workers N: the coordinator spawns
-  // /proc/self/exe with this flag, so it must short-circuit everything.
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return serve::workerMain();
-  }
-
   // --json <path>: also emit the whole flow as one machine-readable report
   // (the document CI's metrics-gate diffs against the checked-in golden).
   cli::CommonFlags flags;
@@ -205,19 +179,14 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (std::string error;
-      !cli::checkTierWorkers(flags.tier, flags.workers, error)) {
-    std::cerr << error << "\n";
-    return 2;
-  }
 
   // Any of the iteration flags selects the incremental flow-graph mode; the
   // bare invocation below stays byte-identical for the CI metrics gate.
   // --engine alone keeps the bare flow and picks its campaign engine.
   if (flags.anyIterationFlag() || edit != nullptr || maxResim >= 0.0) {
     return runIncremental(flags.jsonPath, flags.cacheDir,
-                          edit ? edit : "none", maxResim, flags.workers,
-                          flags.engine, flags.tier);
+                          edit ? edit : "none", maxResim, flags.engine,
+                          flags.tier);
   }
 
   std::cout << "==== step 1: first implementation (v1) ====\n";

@@ -6,9 +6,10 @@
 
 namespace socfmea::core {
 
-obs::Json FlowGraph::stage(std::string_view name, std::uint64_t key,
-                           const std::function<obs::Json()>& compute,
-                           bool* cached) {
+obs::Json FlowGraph::stage(
+    std::string_view name, std::uint64_t key,
+    const std::function<obs::Json()>& compute, bool* cached,
+    const std::function<bool(const obs::Json&)>& usable) {
   const auto start = std::chrono::steady_clock::now();
   StageRecord rec;
   rec.name = std::string(name);
@@ -16,7 +17,8 @@ obs::Json FlowGraph::stage(std::string_view name, std::uint64_t key,
 
   obs::Json artifact;
   if (store_ != nullptr) {
-    if (auto stored = store_->load(name, key)) {
+    if (auto stored = store_->load(name, key);
+        stored && (!usable || usable(*stored))) {
       rec.cached = true;
       artifact = std::move(*stored);
     }

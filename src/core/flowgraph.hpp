@@ -30,12 +30,14 @@ class FlowGraph {
   explicit FlowGraph(ArtifactStore* store) : store_(store) {}
 
   /// Runs stage `name` keyed by `key`: returns the stored artifact when the
-  /// store holds one under this key, otherwise invokes `compute`, persists
-  /// its result and returns it.  `cached`, when non-null, reports which
-  /// path was taken.
+  /// store holds one under this key and `usable` (when set) accepts it,
+  /// otherwise invokes `compute`, persists its result (overwriting a
+  /// rejected artifact) and returns it.  `cached`, when non-null, reports
+  /// which path was taken; a rejected artifact counts as a miss.
   obs::Json stage(std::string_view name, std::uint64_t key,
                   const std::function<obs::Json()>& compute,
-                  bool* cached = nullptr);
+                  bool* cached = nullptr,
+                  const std::function<bool(const obs::Json&)>& usable = {});
 
   /// Per-stage table + hit/miss totals (+ store stats when attached).
   [[nodiscard]] obs::Json report() const;

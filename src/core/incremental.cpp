@@ -10,7 +10,6 @@
 #include "netlist/hash.hpp"
 #include "netlist/text_format.hpp"
 #include "obs/telemetry.hpp"
-#include "serve/job.hpp"
 
 namespace socfmea::core {
 
@@ -192,80 +191,83 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   };
 
   // Exact-path miss without a cold run: delta-merge against the previous
-  // head when possible, otherwise shard over worker processes when the job
-  // specs allow it.  Sets out.deltaRun / out.distributedRun on success.
-  const auto runDeltaOrSharded = [&] {
-    if (opt_.store != nullptr) {
-      // Branch fallback chain: this branch's own head, then the parent
-      // branch (the search's accepted architecture), then the base slot —
-      // the closest warm baseline wins.
-      auto head = opt_.store->loadHead(opt_.headSlot, opt_.headBranch);
-      if (!head && !opt_.headParent.empty()) {
-        head = opt_.store->loadHead(opt_.headSlot, opt_.headParent);
-      }
-      if (!head && !opt_.headBranch.empty()) {
-        head = opt_.store->loadHead(opt_.headSlot);
-      }
-      const obs::Json* text = head ? head->find("design_text") : nullptr;
-      const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
-      const auto prevKey =
-          head ? parseHex(head->find("campaign_key")) : std::nullopt;
-      if (text != nullptr && text->isString() && headOpts != nullptr &&
-          headOpts->isString() && headOpts->asString() == hashHex(optsKey) &&
-          prevKey) {
-        if (auto prevArt = opt_.store->load("campaign", *prevKey)) {
-          try {
-            const netlist::Netlist prev =
-                netlist::readNetlistString(text->asString());
-            const netlist::NetlistDiff d = netlist::diff(prev, nl);
-            // Inputs whose recorded stimulus stream changed seed the cone
-            // exactly like edited cells.
-            std::vector<netlist::NetId> extraSeeds;
-            const obs::Json* prevStim = prevArt->find("stimulus");
-            for (const auto& [name, hash] : stimJson.items()) {
-              const obs::Json* old =
-                  prevStim != nullptr ? prevStim->find(name) : nullptr;
-              if (old == nullptr || !old->isString() ||
-                  old->asString() != hash.asString()) {
-                if (const auto id = nl.findNet(name)) {
-                  extraSeeds.push_back(*id);
-                }
-              }
-            }
-            const netlist::AffectedCone cone =
-                netlist::affectedCone(*cd, d, extraSeeds);
-            const inject::CachedCampaign cache =
-                inject::CachedCampaign::fromJson(*prevArt);
-            out.result = inject::runCampaignDelta(
-                mgr, wl, faults, cache, cone, *cd, &cov, copt,
-                opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
-            out.deltaRun = true;
-          } catch (const std::exception&) {
-            out.deltaRun = false;  // unreadable head: cold below
-          }
+  // head when possible.  Sets out.deltaRun on success.
+  const auto runDelta = [&] {
+    if (opt_.store == nullptr) return;
+    // Branch fallback chain: this branch's own head, then the parent branch
+    // (the search's accepted architecture), then the base slot — the
+    // closest warm baseline wins.
+    auto head = opt_.store->loadHead(opt_.headSlot, opt_.headBranch);
+    if (!head && !opt_.headParent.empty()) {
+      head = opt_.store->loadHead(opt_.headSlot, opt_.headParent);
+    }
+    if (!head && !opt_.headBranch.empty()) {
+      head = opt_.store->loadHead(opt_.headSlot);
+    }
+    const obs::Json* text = head ? head->find("design_text") : nullptr;
+    const obs::Json* headOpts = head ? head->find("opts_key") : nullptr;
+    const auto prevKey =
+        head ? parseHex(head->find("campaign_key")) : std::nullopt;
+    if (text == nullptr || !text->isString() || headOpts == nullptr ||
+        !headOpts->isString() || headOpts->asString() != hashHex(optsKey) ||
+        !prevKey) {
+      return;
+    }
+    auto prevArt = opt_.store->load("campaign", *prevKey);
+    if (!prevArt) return;
+    try {
+      const netlist::Netlist prev =
+          netlist::readNetlistString(text->asString());
+      const netlist::NetlistDiff d = netlist::diff(prev, nl);
+      // Inputs whose recorded stimulus stream changed seed the cone exactly
+      // like edited cells.
+      std::vector<netlist::NetId> extraSeeds;
+      const obs::Json* prevStim = prevArt->find("stimulus");
+      for (const auto& [name, hash] : stimJson.items()) {
+        const obs::Json* old =
+            prevStim != nullptr ? prevStim->find(name) : nullptr;
+        if (old == nullptr || !old->isString() ||
+            old->asString() != hash.asString()) {
+          if (const auto id = nl.findNet(name)) extraSeeds.push_back(*id);
         }
       }
+      const netlist::AffectedCone cone =
+          netlist::affectedCone(*cd, d, extraSeeds);
+      const inject::CachedCampaign cache =
+          inject::CachedCampaign::fromJson(*prevArt);
+      out.result = inject::runCampaignDelta(
+          mgr, wl, faults, cache, cone, *cd, &cov, copt,
+          opt_.revalidateFraction, opt_.revalidateSeed, &out.delta);
+      out.deltaRun = true;
+    } catch (const std::exception&) {
+      out.deltaRun = false;  // unreadable head: cold below
     }
-    if (!out.deltaRun && opt_.workers > 1 && opt_.designSpec.isObject() &&
-        opt_.workloadSpec.isObject()) {
-      // Sharded cold run: worker processes rebuild the design from the job
-      // spec and stream verdicts back; the merge goes through the same
-      // delta/revalidation path as a head diff, so the stored artifact is
-      // bit-identical to the in-process run's.
-      try {
-        const obs::Json job = serve::makeCampaignJob(
-            nl, db, flow_->config().alarmNames, seed, detectionWindow, copt,
-            opt_.designSpec, opt_.workloadSpec);
-        serve::DistributedOptions dopt;
-        dopt.workers = opt_.workers;
-        out.result = serve::runShardedCampaign(
-            mgr, wl, faults, *cd, job, dopt, opt_.revalidateFraction,
-            opt_.revalidateSeed, &cov, copt, &out.delta, &out.serveStats);
-        out.distributedRun = true;
-      } catch (const std::exception&) {
-        out.distributedRun = false;  // plumbing failure: cold below
-      }
+  };
+
+  // Whole-campaign hit: every verdict comes from the store.  A parseable
+  // artifact that does not bind (a key collision with a foreign artifact, a
+  // truncated record list) is rejected: the stage then counts a miss,
+  // recomputes cold and overwrites it.
+  bool rejected = false;
+  const auto bindStored = [&](const obs::Json& art) {
+    const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
+    const obs::Json* tiers = art.find("tiers");
+    auto records = inject::bindCampaignRecords(cache, nl, faults, db, effects);
+    const bool tiersOk =
+        !out.tieredRun || (tiers != nullptr && tiers->isObject());
+    if (!records || !tiersOk) {
+      rejected = true;
+      return false;
     }
+    out.result.records = std::move(*records);
+    for (const inject::InjectionRecord& rec : out.result.records) {
+      cov.account(rec.obs);
+    }
+    if (out.tieredRun) out.tiers = *tiers;
+    out.fullHit = true;
+    out.delta.total = faults.size();
+    out.delta.reused = faults.size();
+    return true;
   };
 
   // The exact path is one "campaign" stage.  The tiered path replaces it
@@ -292,41 +294,14 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   }
 
   bool cached = false;
-  const obs::Json art = flow_->graph().stage(
+  flow_->graph().stage(
       stageName, stageKey,
       [&] {
-        if (!out.tieredRun) runDeltaOrSharded();
-        if (!out.deltaRun && !out.distributedRun) runCold();
+        if (!out.tieredRun && !rejected) runDelta();
+        if (!out.deltaRun) runCold();
         return artifact();
       },
-      &cached);
-
-  if (cached) {
-    // Whole-campaign hit: every verdict comes from the store.
-    const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
-    const obs::Json* tiers = art.find("tiers");
-    auto records = inject::bindCampaignRecords(cache, nl, faults, db, effects);
-    const bool tiersOk =
-        !out.tieredRun || (tiers != nullptr && tiers->isObject());
-    if (records && tiersOk) {
-      out.result = inject::CampaignResult{};
-      out.result.records = std::move(*records);
-      for (const inject::InjectionRecord& rec : out.result.records) {
-        cov.account(rec.obs);
-      }
-      if (out.tieredRun) out.tiers = *tiers;
-      out.fullHit = true;
-      out.delta.total = faults.size();
-      out.delta.reused = faults.size();
-    } else {
-      // A parseable artifact that does not bind (a key collision with a
-      // foreign artifact, a truncated record list): recompute and overwrite.
-      runCold();
-      if (opt_.store != nullptr) {
-        opt_.store->save(stageName, stageKey, artifact());
-      }
-    }
-  }
+      &cached, bindStored);
 
   if (opt_.store != nullptr) {
     obs::Json head = obs::Json::object();
@@ -373,10 +348,8 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   obs::Json cj = obs::Json::object();
   cj["full_hit"] = out.fullHit;
   cj["delta_run"] = out.deltaRun;
-  cj["distributed_run"] = out.distributedRun;
   cj["tiered_run"] = out.tieredRun;
   if (out.tieredRun) cj["tiers"] = out.tiers;
-  if (out.distributedRun) cj["distributed"] = out.serveStats.toJson();
   cj["delta"] = out.delta.toJson();
   cj["coverage_completeness"] = cov.completeness();
   cj["campaign"] = out.result.toJson(&db);

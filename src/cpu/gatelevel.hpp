@@ -20,11 +20,10 @@
 //
 // A non-empty `program` synthesizes the ROM as combinational LUT logic
 // instead of the behavioural memory: the design is then self-contained (no
-// backdoor load), so it round-trips through .snl text, replays under a
-// plain reset-vector workload, and ships to serve workers as a text design
-// spec.  `minimalObs` restricts the functional outputs to the OUT port
-// (plus alarms) so that timing-neutral software voting is not penalized by
-// the cycle-accurate PC observation.
+// backdoor load), so it round-trips through .snl text and replays under a
+// plain reset-vector workload.  `minimalObs` restricts the functional
+// outputs to the OUT port (plus alarms) so that timing-neutral software
+// voting is not penalized by the cycle-accurate PC observation.
 #pragma once
 
 #include "cpu/isa.hpp"

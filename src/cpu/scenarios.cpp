@@ -1,15 +1,11 @@
 #include "cpu/scenarios.hpp"
 
-#include <stdexcept>
-
 #include "core/flow.hpp"
 #include "cpu/tinycpu.hpp"
 #include "cpu/workload.hpp"
 #include "fmea/report.hpp"
 #include "inject/env_builder.hpp"
 #include "inject/profile.hpp"
-#include "serve/coordinator.hpp"
-#include "serve/job.hpp"
 
 namespace socfmea::cpu::scenarios {
 namespace {
@@ -151,33 +147,10 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   const auto faults = mgr.zoneFailureFaults(profile, opt.perBit, opt.seed);
   r.faults = faults.size();
 
-  if (opt.workers >= 2) {
-    // Sharded multi-process campaign over the existing job-spec path: the
-    // design ships as .snl text (synthesized ROM, so it is self-contained)
-    // and the workload as an explicit reset vector stream.
-    std::vector<std::vector<bool>> stim(
-        s.cycles, std::vector<bool>(1, false));
-    stim.at(0)[0] = true;
-    stim.at(1)[0] = true;
-    const auto designSpec = serve::textDesignSpec(d.nl);
-    const auto wlSpec =
-        serve::vectorWorkloadSpec(d.nl, "cpu-scenario", {d.rst}, stim);
-    const auto job = serve::makeCampaignJob(
-        d.nl, flow.zones(), flow.config().alarmNames, opt.seed,
-        opt.detectionWindow, opt.campaign, designSpec, wlSpec);
-    serve::DistributedOptions dopt;
-    dopt.workers = opt.workers;
-    dopt.workerCmd = opt.workerCmd;
-    r.campaign.merged =
-        serve::runShardedCampaign(mgr, wl, faults, mgr.compiled(), job, dopt,
-                                  0.0, opt.seed, nullptr, opt.campaign);
-    r.campaign.abstracted = false;
-  } else {
-    inject::TierOptions topt;
-    topt.mode = opt.tier;
-    r.campaign =
-        inject::runTieredCampaign(mgr, wl, faults, topt, nullptr, opt.campaign);
-  }
+  inject::TierOptions topt;
+  topt.mode = opt.tier;
+  r.campaign =
+      inject::runTieredCampaign(mgr, wl, faults, topt, nullptr, opt.campaign);
 
   r.tally = r.campaign.merged.tally();
   r.measuredSff = inject::CampaignResult::measuredSff(r.tally);

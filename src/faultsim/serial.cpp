@@ -25,6 +25,13 @@ std::string_view engineKindName(EngineKind k) noexcept {
   return "?";
 }
 
+std::optional<EngineKind> engineKindFromName(std::string_view n) noexcept {
+  for (const EngineKind k : {EngineKind::Serial, EngineKind::Bitsliced}) {
+    if (engineKindName(k) == n) return k;
+  }
+  return std::nullopt;
+}
+
 GoldenTrace recordGolden(const netlist::Netlist& nl, sim::Workload& wl,
                          const FaultSimOptions& opt) {
   const fault::EngineContext ctx(nl);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -35,8 +36,10 @@ enum class EngineKind : std::uint8_t {
 };
 
 /// "serial" / "bitsliced" — the one spelling used by the CLIs' --engine
-/// flag and the worker job protocol (serve::engineKindFromName).
+/// flag; engineKindFromName is its inverse (nullopt on any other name).
 [[nodiscard]] std::string_view engineKindName(EngineKind k) noexcept;
+[[nodiscard]] std::optional<EngineKind> engineKindFromName(
+    std::string_view n) noexcept;
 
 struct FaultSimResult {
   std::size_t total = 0;

@@ -58,7 +58,7 @@ struct CachedCampaign {
 
 /// Binds every fault's cached record in fault-list order; nullopt when any
 /// key is absent or any reference fails to rebind.  The whole-campaign
-/// store-hit path and the distributed merge both go through this.
+/// store-hit path goes through this.
 [[nodiscard]] std::optional<std::vector<InjectionRecord>> bindCampaignRecords(
     const CachedCampaign& cache, const netlist::Netlist& nl,
     const fault::FaultList& faults, const zones::ZoneDatabase& db,

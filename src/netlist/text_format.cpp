@@ -212,7 +212,7 @@ void writeNetlist(std::ostream& out, const Netlist& nl) {
   // Net preamble in id order, then every cell in id order: the parser
   // re-creates each net and cell at its original id, so id-keyed artifacts
   // (zone databases, compiled-design caches) bind to a round-tripped design
-  // unchanged — the distributed job path depends on this.
+  // unchanged.
   for (NetId id = 0; id < nl.netCount(); ++id) {
     out << "net " << netName(nl, id) << "\n";
   }

@@ -9,7 +9,6 @@
 #include "memsys/workloads.hpp"
 #include "netlist/hash.hpp"
 #include "obs/telemetry.hpp"
-#include "serve/job.hpp"
 
 namespace socfmea::search {
 
@@ -183,13 +182,6 @@ const ArchitectureSearch::Eval& ArchitectureSearch::evaluate(
   wopt.cycles = opt_.workloadCycles;
   iopt.workloadTag = hashMix(hashString("protection-ip-workload"),
                              hashMix(wopt.cycles, wopt.seed));
-  if (opt_.workers > 1) {
-    iopt.workers = opt_.workers;
-    iopt.designSpec = serve::protectionIpDesignSpec("none", sorted);
-    iopt.workloadSpec = serve::protectionIpWorkloadSpec(
-        wopt.cycles, wopt.seed, wopt.resetCycles, wopt.exerciseBist,
-        wopt.exerciseMpu, wopt.plantEccErrors, wopt.pacing);
-  }
 
   memsys::ProtectionIpWorkload wl(built.design, wopt);
   inject::CampaignOptions copt;

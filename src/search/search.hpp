@@ -38,8 +38,6 @@ struct SearchOptions {
   std::size_t maxRounds = 16;
   /// Proposals taken from the criticality ranking per beam state per round.
   std::size_t candidatesPerRound = 6;
-  /// Fan candidate campaigns out over worker processes (serve layer).
-  unsigned workers = 1;
   inject::TierOptions tier;
   /// Campaign engine for every candidate evaluation and for the winner's
   /// cold-flat verify.  The search never injects latent faults, so the

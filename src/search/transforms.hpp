@@ -52,8 +52,6 @@ enum class TransformKind : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view transformKindName(TransformKind k) noexcept;
-[[nodiscard]] std::optional<TransformKind> transformKindFromName(
-    std::string_view name) noexcept;
 
 /// One candidate edit: a kind plus its target.
 struct TransformSpec {
@@ -67,11 +65,8 @@ struct TransformSpec {
 
   [[nodiscard]] std::string id() const;
 
-  /// Wire form for distributed candidate evaluation: a worker process
-  /// re-applies the same spec list to its locally rebuilt base design.
+  /// JSON form for the search report (SearchResult::toJson).
   [[nodiscard]] obs::Json toJson() const;
-  [[nodiscard]] static std::optional<TransformSpec> fromJson(
-      const obs::Json& j);
 };
 
 /// A sheet claim the transform installs (applied through the flow config's
@@ -111,9 +106,8 @@ struct BankTarget {
     netlist::Netlist& nl, const TransformSpec& spec, std::string_view scope);
 
 /// Applies `specs` in order under the canonical scopes "srch0", "srch1",
-/// ... — the one spelling shared by the search loop and by worker processes
-/// rebuilding a candidate from its spec list, so their netlists hash
-/// identically.  std::nullopt (with `nl` possibly partially edited) when any
+/// ... — so one spec list always builds the same netlist, with the same
+/// hash.  std::nullopt (with `nl` possibly partially edited) when any
 /// spec fails to resolve.
 [[nodiscard]] std::optional<std::vector<AppliedTransform>> applyTransforms(
     netlist::Netlist& nl, const std::vector<TransformSpec>& specs);

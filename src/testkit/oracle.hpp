@@ -23,7 +23,6 @@
 // reference verdicts.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,16 +59,6 @@ struct OracleOptions {
   /// reparsed design with the plan rebound by name.
   bool roundTrip = true;
   Sabotage sabotage;
-  /// Extra caller-supplied combo, run after the built-in engines and
-  /// compared against the reference like any other: must return outcomes
-  /// parallel to the plan's fault list.  This is how tools/fuzz_diff folds
-  /// the distributed (multi-process) engine into the oracle without making
-  /// the testkit depend on the serve layer; a thrown exception is reported
-  /// as a mismatch, not propagated.
-  std::function<faultsim::FaultSimResult(const netlist::Netlist& nl,
-                                         const TestPlan& plan)>
-      extraCombo;
-  std::string extraComboName = "extra";
 };
 
 /// One disagreement between a combo and the reference.

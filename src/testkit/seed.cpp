@@ -1,16 +1,33 @@
 #include "testkit/seed.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
+#include <string_view>
 
 namespace socfmea::testkit {
 
-bool envSeed(std::uint64_t* out) noexcept {
+bool envSeed(std::uint64_t* out) {
   const char* raw = std::getenv("SOCFMEA_TEST_SEED");
   if (raw == nullptr || *raw == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 0);
-  if (end == raw || (end != nullptr && *end != '\0')) return false;
-  if (out != nullptr) *out = static_cast<std::uint64_t>(v);
+  // from_chars takes no sign, whitespace or base prefix, so "-1", " 1" and
+  // "1x" all stop short of the end; "0x" is stripped here for hex.
+  std::string_view digits(raw);
+  int base = 10;
+  if (digits.size() > 2 && digits[0] == '0' &&
+      (digits[1] == 'x' || digits[1] == 'X')) {
+    digits.remove_prefix(2);
+    base = 16;
+  }
+  std::uint64_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), v, base);
+  if (ec != std::errc() || end != digits.data() + digits.size()) {
+    throw std::invalid_argument(
+        std::string("SOCFMEA_TEST_SEED='") + raw +
+        "' is not an unsigned 64-bit integer (decimal or 0x hex)");
+  }
+  if (out != nullptr) *out = v;
   return true;
 }
 
@@ -21,7 +38,7 @@ std::uint64_t derivedSeed(std::uint64_t base, std::uint64_t index) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t testSeed(std::uint64_t fallback) noexcept {
+std::uint64_t testSeed(std::uint64_t fallback) {
   std::uint64_t campaign = 0;
   if (!envSeed(&campaign)) return fallback;
   return derivedSeed(campaign, fallback);

@@ -10,9 +10,11 @@
 
 namespace socfmea::testkit {
 
-/// True when SOCFMEA_TEST_SEED is set; `*out` receives its value (decimal or
-/// 0x-prefixed hex).  Malformed values are ignored (treated as unset).
-[[nodiscard]] bool envSeed(std::uint64_t* out) noexcept;
+/// True when SOCFMEA_TEST_SEED is set (non-empty); `*out` receives its value
+/// (decimal or 0x-prefixed hex, whole string).  A malformed value throws
+/// std::invalid_argument naming it: a typo must not silently run another
+/// seed.
+[[nodiscard]] bool envSeed(std::uint64_t* out);
 
 /// Derives an independent seed stream: SplitMix64 finalizer over
 /// (base, index), so distinct indexes never collide on nearby bases.
@@ -22,8 +24,8 @@ namespace socfmea::testkit {
 /// The seed a call site should use: `fallback` (the historical literal) when
 /// SOCFMEA_TEST_SEED is unset, else a stream derived from the override and
 /// the fallback — each call site still gets an independent stream under one
-/// campaign seed.
-[[nodiscard]] std::uint64_t testSeed(std::uint64_t fallback) noexcept;
+/// campaign seed.  Throws like envSeed on a malformed override.
+[[nodiscard]] std::uint64_t testSeed(std::uint64_t fallback);
 
 /// One-line reproduction banner for SCOPED_TRACE / failure logs, e.g.
 /// "seed 123 (rerun with SOCFMEA_TEST_SEED=7 to reproduce)".

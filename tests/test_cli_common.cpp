@@ -1,5 +1,5 @@
 // Unit tests for the shared CLI surface (tools/cli_common) — the one
-// spelling of the --json/--cache-dir/--workers/--engine/--tier parsing that
+// spelling of the --json/--cache-dir/--engine/--tier parsing that
 // memsys_sil3_flow, injection_campaign, fuzz_diff and arch_search share.
 // The helpers are pure (no printing, no exit()), so the tests drive them
 // with synthetic argv arrays.
@@ -39,14 +39,12 @@ ParseRun parseAll(std::vector<const char*> argv) {
 
 TEST(CliCommon, ParsesEverydaySharedFlagSet) {
   const ParseRun run = parseAll({"--json", "out.json", "--cache-dir", "/tmp/s",
-                                 "--workers", "4", "--engine", "bitsliced",
-                                 "--tier", "auto"});
+                                 "--engine", "bitsliced", "--tier", "auto"});
   for (const cli::FlagStatus st : run.statuses) {
     EXPECT_EQ(st, cli::FlagStatus::Consumed);
   }
   EXPECT_STREQ(run.flags.jsonPath, "out.json");
   EXPECT_STREQ(run.flags.cacheDir, "/tmp/s");
-  EXPECT_EQ(run.flags.workers, 4u);
   EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Bitsliced);
   EXPECT_TRUE(run.flags.engineSet);
   EXPECT_EQ(run.flags.tier, socfmea::inject::TierMode::Auto);
@@ -71,7 +69,7 @@ TEST(CliCommon, EngineAloneIsNotAnIterationFlag) {
   EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Bitsliced);
   EXPECT_FALSE(run.flags.anyIterationFlag());
   const std::vector<std::pair<const char*, const char*>> iterationFlags = {
-      {"--cache-dir", "/tmp/s"}, {"--workers", "2"}, {"--tier", "exact"}};
+      {"--cache-dir", "/tmp/s"}, {"--tier", "exact"}};
   for (const auto& [flag, value] : iterationFlags) {
     const ParseRun with = parseAll({"--engine", "serial", flag, value});
     EXPECT_TRUE(with.flags.anyIterationFlag()) << flag;
@@ -86,17 +84,10 @@ TEST(CliCommon, UnknownFlagIsLeftToTheCaller) {
 
 TEST(CliCommon, MissingValueIsAnError) {
   for (const char* flag :
-       {"--json", "--cache-dir", "--workers", "--engine", "--tier"}) {
+       {"--json", "--cache-dir", "--engine", "--tier"}) {
     const ParseRun run = parseAll({flag});
     EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Error) << flag;
     EXPECT_NE(run.error.find("needs a value"), std::string::npos) << flag;
-  }
-}
-
-TEST(CliCommon, BadWorkerCountIsAnError) {
-  for (const char* bad : {"-1", "x", "4x", "", "4294967296"}) {
-    const ParseRun run = parseAll({"--workers", bad});
-    EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Error) << bad;
   }
 }
 
@@ -122,26 +113,8 @@ TEST(CliCommon, RetiredEngineNamesAreErrors) {
             socfmea::faultsim::EngineKind::Serial);
 }
 
-TEST(CliCommon, NonExactTierWithWorkersIsAnError) {
-  // The sharded path runs exact campaigns only; one worker (or none) runs
-  // in-process, where every tier applies.
-  using socfmea::inject::TierMode;
-  std::string error;
-  EXPECT_TRUE(cli::checkTierWorkers(TierMode::Exact, 4, error));
-  EXPECT_TRUE(cli::checkTierWorkers(TierMode::Abstract, 0, error));
-  EXPECT_TRUE(cli::checkTierWorkers(TierMode::Auto, 1, error));
-  EXPECT_TRUE(error.empty()) << error;
-  for (const TierMode mode : {TierMode::Abstract, TierMode::Auto}) {
-    error.clear();
-    EXPECT_FALSE(cli::checkTierWorkers(mode, 2, error));
-    EXPECT_NE(error.find("--tier"), std::string::npos) << error;
-    EXPECT_NE(error.find("--workers 2"), std::string::npos) << error;
-  }
-}
-
 TEST(CliCommon, UsageTextCoversEverySharedFlag) {
-  for (const char* flag :
-       {"--json", "--cache-dir", "--workers", "--engine", "--tier"}) {
+  for (const char* flag : {"--json", "--cache-dir", "--engine", "--tier"}) {
     EXPECT_NE(cli::commonUsageSynopsis().find(flag), std::string::npos)
         << flag;
     EXPECT_NE(cli::commonUsageDetails().find(flag), std::string::npos) << flag;

@@ -6,8 +6,7 @@
 //   * a testkit fuzz hook: the invariant holds on seeded random designs;
 //   * transform soundness: every netlist transform is a pure addition
 //     (netlist::diff reports added items only), policy transforms edit
-//     nothing, specs survive the wire round-trip, applyTransforms uses the
-//     canonical scopes a worker process reproduces.
+//     nothing, applyTransforms uses the canonical scopes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -249,22 +248,6 @@ TEST(Transforms, EveryKindIsAPureAddition) {
       EXPECT_EQ(applied->alarmNames.front(), "srch0/alarm");
     }
     EXPECT_FALSE(applied->claims.empty());
-  }
-}
-
-TEST(Transforms, SpecSurvivesWireRoundTrip) {
-  const std::vector<sr::TransformSpec> specs = {
-      spec(sr::TransformKind::ParityPredict, "out/rdata_r"),
-      spec(sr::TransformKind::MemSignature, "mem/array", 4),
-      spec(sr::TransformKind::ScrubRate, "mem/array"),
-  };
-  for (const sr::TransformSpec& s : specs) {
-    const auto back = sr::TransformSpec::fromJson(s.toJson());
-    ASSERT_TRUE(back.has_value()) << s.id();
-    EXPECT_EQ(back->kind, s.kind);
-    EXPECT_EQ(back->target, s.target);
-    EXPECT_EQ(back->param, s.param);
-    EXPECT_EQ(back->id(), s.id());
   }
 }
 

@@ -4,8 +4,10 @@
 //     enumeration are pure functions of the design, and the text format is
 //     a write/parse fixed point (the precondition for content addressing);
 //   * the artifact store — round trips, head slots, LRU fallback to disk,
-//     corrupt files degrading to a recomputable miss, and a parseable
-//     artifact that does not bind being recomputed and overwritten;
+//     corrupt files degrading to a recomputable miss, --cache-dir paths
+//     validated without side effects, two processes saving one key
+//     race-free, and a parseable artifact that does not bind being
+//     recomputed, counted as a miss and overwritten;
 //   * the oracle — every Section-6 v1 -> v2 architectural edit, run as a
 //     delta on a store warmed with the v1 baseline, must produce campaign
 //     records and an SFF bit-identical to a cold run of the edited design;
@@ -14,6 +16,10 @@
 //     verdicts inside it equals a full cold run of the mutated design.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -32,6 +38,7 @@
 #include "netlist/diff.hpp"
 #include "netlist/hash.hpp"
 #include "netlist/text_format.hpp"
+#include "obs/telemetry.hpp"
 #include "testkit/netlist_gen.hpp"
 #include "testkit/plan.hpp"
 #include "zones/serialize.hpp"
@@ -245,6 +252,59 @@ TEST(ArtifactStoreTest, LruEvictionFallsBackToDisk) {
   EXPECT_GE(store.stats().memoryHits, 1u);
 }
 
+TEST(ArtifactStoreTest, ValidateDirDiagnosesWithoutSideEffects) {
+  const fs::path ok = freshDir("validate");
+  EXPECT_FALSE(core::ArtifactStore::validateDir(ok).has_value());
+  EXPECT_TRUE(fs::is_empty(ok)) << "the probe must clean up after itself";
+
+  const auto missingParent =
+      core::ArtifactStore::validateDir("/no-such-parent-anywhere/store");
+  ASSERT_TRUE(missingParent.has_value());
+  EXPECT_NE(missingParent->find("parent"), std::string::npos);
+  EXPECT_FALSE(fs::exists("/no-such-parent-anywhere"));
+
+  const fs::path file = ok / "occupied";
+  std::ofstream(file) << "not a directory";
+  EXPECT_TRUE(core::ArtifactStore::validateDir(file).has_value())
+      << "a regular file cannot serve as a store";
+  EXPECT_TRUE(core::ArtifactStore::validateDir(file / "child").has_value())
+      << "a regular file cannot be a store parent";
+}
+
+// Two CLIs may share one --cache-dir: parent and child hammer the same
+// stage/key concurrently, and the atomic tmp-file + rename discipline must
+// leave a complete, parseable artifact however the renames interleave.
+TEST(ArtifactStoreTest, TwoProcessesSavingTheSameKeyRaceFree) {
+  const fs::path dir = freshDir("race");
+  Json artifact = Json::object();
+  artifact["payload"] = "identical-in-both-processes";
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    core::ArtifactStore child(dir);
+    for (int i = 0; i < 50; ++i) child.save("race-stage", 0xC0FFEE, artifact);
+    std::_Exit(0);
+  }
+  {
+    core::ArtifactStore parent(dir);
+    for (int i = 0; i < 50; ++i) parent.save("race-stage", 0xC0FFEE, artifact);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  core::ArtifactStore fresh(dir);  // fresh LRU: forces the disk read
+  const auto loaded = fresh.load("race-stage", 0xC0FFEE);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->dump(0), artifact.dump(0));
+  for (const auto& e : fs::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().extension(), ".json")
+        << "no tmp files may survive: " << e.path();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Serialization round trips backing the campaign artifact.
 
@@ -422,9 +482,10 @@ TEST(IncrementalOracleTest, TieredFlowMatchesExactAndStoreHitKeepsTiers) {
 
 // A stored artifact that parses but does not bind to the current fault list
 // (here: one record dropped) must never be rebound into metrics.  The flow
-// recomputes the stage, overwrites the artifact with the cold run's bytes,
-// and the next identical run is a full store hit again — for the exact
-// "campaign" stage and for the tiered "escalation" stage alike.
+// recomputes the stage, counts it as a miss (stage row and telemetry),
+// overwrites the artifact with the cold run's bytes, and the next identical
+// run is a full store hit again — for the exact "campaign" stage and for
+// the tiered "escalation" stage alike.
 TEST(IncrementalOracleTest, UnbindableStoredArtifactIsRecomputedAndOverwritten) {
   const ms::GateLevelDesign v1 =
       ms::buildProtectionIp(ms::GateLevelOptions::v1());
@@ -449,21 +510,26 @@ TEST(IncrementalOracleTest, UnbindableStoredArtifactIsRecomputedAndOverwritten) 
       return camp;
     };
 
+    // The campaign stage's row in a report: its input hash and cache flag.
+    const auto stageRow = [&](const Json& report) -> const Json* {
+      for (const Json& st : report.find("graph")->find("stages")->elements()) {
+        if (st.find("name")->asString() == stage) return &st;
+      }
+      return nullptr;
+    };
+
     Json report;
     const core::IncrementalCampaign cold = run(&report);
     ASSERT_FALSE(cold.fullHit);
-    std::optional<std::uint64_t> key;
-    for (const Json& st : report.find("graph")->find("stages")->elements()) {
-      if (st.find("name")->asString() == stage) {
-        key = std::stoull(st.find("input_hash")->asString(), nullptr, 16);
-      }
-    }
-    ASSERT_TRUE(key.has_value());
+    const Json* coldRow = stageRow(report);
+    ASSERT_NE(coldRow, nullptr);
+    const std::uint64_t key =
+        std::stoull(coldRow->find("input_hash")->asString(), nullptr, 16);
 
     std::string coldBytes;
     {
       core::ArtifactStore store(dir);
-      std::optional<Json> art = store.load(stage, *key);
+      std::optional<Json> art = store.load(stage, key);
       ASSERT_TRUE(art.has_value());
       coldBytes = art->dump(0);
       const std::vector<Json>& records = art->find("records")->elements();
@@ -473,16 +539,26 @@ TEST(IncrementalOracleTest, UnbindableStoredArtifactIsRecomputedAndOverwritten) 
         truncated.push_back(records[i]);
       }
       (*art)["records"] = std::move(truncated);
-      store.save(stage, *key, *art);
+      store.save(stage, key, *art);
     }
 
-    const core::IncrementalCampaign rerun = run(nullptr);
+    const socfmea::obs::Registry& reg = socfmea::obs::Registry::global();
+    const std::uint64_t hitsBefore = reg.counter("flow.incremental.stage_hits");
+    const std::uint64_t missesBefore =
+        reg.counter("flow.incremental.stage_misses");
+    Json rerunReport;
+    const core::IncrementalCampaign rerun = run(&rerunReport);
     EXPECT_FALSE(rerun.fullHit);
+    EXPECT_EQ(reg.counter("flow.incremental.stage_hits"), hitsBefore);
+    EXPECT_EQ(reg.counter("flow.incremental.stage_misses"), missesBefore + 1);
+    const Json* rerunRow = stageRow(rerunReport);
+    ASSERT_NE(rerunRow, nullptr);
+    EXPECT_FALSE(rerunRow->find("cached")->asBool());
     expectSameRecords(cold.result, rerun.result);
     EXPECT_EQ(cold.tiers.dump(0), rerun.tiers.dump(0));
     {
       core::ArtifactStore store(dir);
-      const std::optional<Json> art = store.load(stage, *key);
+      const std::optional<Json> art = store.load(stage, key);
       ASSERT_TRUE(art.has_value());
       EXPECT_EQ(art->dump(0), coldBytes);
     }

@@ -3,7 +3,7 @@
 // gate-level scenario designs against the ISS (differential oracle), the
 // lockstep comparator's skew window, and the scenario registry end to end
 // through core::FmeaFlow — including cross-engine verdict identity
-// (serial vs bit-sliced vs the sharded multi-process coordinator).
+// (serial vs bit-sliced).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -539,24 +539,17 @@ TEST(ScenarioSuiteTest, CrossEngineVerdictIdentity) {
     sliced.campaign.engine = socfmea::faultsim::EngineKind::Bitsliced;
     const auto bs = sc::runScenario(*s, sliced);
 
-    sc::RunOptions sharded = serial;
-    sharded.workers = 2;
-    sharded.workerCmd = {SOCFMEA_WORKER_BIN};
-    const auto sh = sc::runScenario(*s, sharded);
-
-    for (const auto* other : {&bs, &sh}) {
-      ASSERT_EQ(other->campaign.merged.records.size(),
-                ref.campaign.merged.records.size());
-      for (std::size_t i = 0; i < ref.campaign.merged.records.size(); ++i) {
-        ASSERT_EQ(other->campaign.merged.records[i].outcome,
-                  ref.campaign.merged.records[i].outcome)
-            << "record " << i;
-      }
-      EXPECT_EQ(other->tally.counts, ref.tally.counts);
-      EXPECT_EQ(other->tally.diagFired, ref.tally.diagFired);
-      EXPECT_EQ(other->measuredSff, ref.measuredSff);
-      EXPECT_EQ(other->measuredDdf, ref.measuredDdf);
+    ASSERT_EQ(bs.campaign.merged.records.size(),
+              ref.campaign.merged.records.size());
+    for (std::size_t i = 0; i < ref.campaign.merged.records.size(); ++i) {
+      ASSERT_EQ(bs.campaign.merged.records[i].outcome,
+                ref.campaign.merged.records[i].outcome)
+          << "record " << i;
     }
+    EXPECT_EQ(bs.tally.counts, ref.tally.counts);
+    EXPECT_EQ(bs.tally.diagFired, ref.tally.diagFired);
+    EXPECT_EQ(bs.measuredSff, ref.measuredSff);
+    EXPECT_EQ(bs.measuredDdf, ref.measuredDdf);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "netlist/text_format.hpp"
@@ -80,8 +81,19 @@ TEST(TestkitSeed, EnvOverride) {
   ASSERT_TRUE(tk::envSeed(&v));
   EXPECT_EQ(v, 16u);
 
-  ::setenv("SOCFMEA_TEST_SEED", "12junk", 1);
-  EXPECT_FALSE(tk::envSeed(&v));
+  // Set but malformed fails closed: trailing junk, a sign, whitespace, a
+  // bare hex prefix and a value past 64 bits all throw, through testSeed
+  // too, instead of running another seed.
+  for (const char* bad :
+       {"12junk", "1x", "-1", "+1", " 1", "0x", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("SOCFMEA_TEST_SEED", bad, 1);
+    EXPECT_THROW((void)tk::envSeed(&v), std::invalid_argument);
+    EXPECT_THROW((void)tk::testSeed(31), std::invalid_argument);
+  }
+  ::setenv("SOCFMEA_TEST_SEED", "18446744073709551615", 1);
+  ASSERT_TRUE(tk::envSeed(&v));
+  EXPECT_EQ(v, 18446744073709551615u);
 
   ::unsetenv("SOCFMEA_TEST_SEED");
   EXPECT_NE(tk::seedMessage(42).find("42"), std::string::npos);

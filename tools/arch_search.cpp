@@ -5,7 +5,7 @@
 // the SFF-vs-gate-cost frontier until the SIL3 margin holds.
 //
 //   arch_search --cache-dir /tmp/store --json search.json
-//   arch_search --budget 200000 --target-sff 0.9938 --workers 4
+//   arch_search --budget 200000 --target-sff 0.9938
 //
 // Exit codes: 0 target reached (and, unless --no-verify, the winner's cold
 // flat re-run was bit-identical), 1 search fell short, 2 usage error.
@@ -17,7 +17,6 @@
 
 #include "obs/telemetry.hpp"
 #include "search/search.hpp"
-#include "serve/worker.hpp"
 #include "tools/cli_common.hpp"
 
 using namespace socfmea;
@@ -48,12 +47,6 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-exec entry for --workers N: the coordinator spawns
-  // /proc/self/exe with this flag, so it must short-circuit everything.
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return serve::workerMain();
-  }
-
   cli::CommonFlags flags;
   unsigned budget = 0;
   double targetSff = 0.9938;
@@ -107,11 +100,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (std::string error;
-      !cli::checkTierWorkers(flags.tier, flags.workers, error)) {
-    std::cerr << error << "\n";
-    return 2;
-  }
 
   std::string storeError;
   auto storeOpt = cli::openStore(flags, storeError);
@@ -129,7 +117,6 @@ int main(int argc, char** argv) {
   sopt.beamWidth = beam;
   sopt.maxRounds = rounds;
   sopt.candidatesPerRound = candidates;
-  sopt.workers = flags.workers;
   sopt.tier.mode = flags.tier;
   if (flags.engineSet) sopt.engine = flags.engine;
   sopt.verifyFinal = verify;

@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "serve/job.hpp"
-
 namespace socfmea::cli {
 
 namespace {
@@ -37,19 +35,10 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
     out.cacheDir = v;
     return FlagStatus::Consumed;
   }
-  if (std::strcmp(arg, "--workers") == 0) {
-    const char* v = flagValue(argc, argv, i, error);
-    if (v == nullptr) return FlagStatus::Error;
-    if (!parseUnsigned(v, out.workers)) {
-      error = std::string("--workers: '") + v + "' is not a worker count";
-      return FlagStatus::Error;
-    }
-    return FlagStatus::Consumed;
-  }
   if (std::strcmp(arg, "--engine") == 0) {
     const char* v = flagValue(argc, argv, i, error);
     if (v == nullptr) return FlagStatus::Error;
-    const auto k = serve::engineKindFromName(v);
+    const auto k = faultsim::engineKindFromName(v);
     if (!k) {
       error = std::string("--engine: unknown engine '") + v +
               "' (serial | bitsliced)";
@@ -77,8 +66,8 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
 
 const std::string& commonUsageSynopsis() {
   static const std::string s =
-      "[--json <path>] [--cache-dir <dir>] [--workers N]"
-      " [--engine <kind>] [--tier <mode>]";
+      "[--json <path>] [--cache-dir <dir>] [--engine <kind>]"
+      " [--tier <mode>]";
   return s;
 }
 
@@ -86,23 +75,11 @@ const std::string& commonUsageDetails() {
   static const std::string s =
       "  --json       machine-readable report path\n"
       "  --cache-dir  artifact store for the flow graph / delta campaign\n"
-      "  --workers    shard campaigns over N worker processes (exact tier"
-      " only)\n"
       "  --engine     campaign engine: serial | bitsliced\n"
       "  --tier       campaign tier: abstract | exact | auto (abstract ="
       " SET->multi-SEU sweep\n"
       "               with exact-resim escalation)\n";
   return s;
-}
-
-bool checkTierWorkers(inject::TierMode tier, unsigned workers,
-                      std::string& error) {
-  if (workers < 2 || tier == inject::TierMode::Exact) return true;
-  error = std::string("--tier ") + std::string(inject::tierModeName(tier)) +
-          " cannot be combined with --workers " + std::to_string(workers) +
-          ": sharded campaigns run exact only (use --tier exact or drop"
-          " --workers)";
-  return false;
 }
 
 std::optional<std::unique_ptr<core::ArtifactStore>> openStore(

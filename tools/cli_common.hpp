@@ -1,7 +1,7 @@
 // Shared CLI surface of the campaign tools.  memsys_sil3_flow,
 // injection_campaign, fuzz_diff and arch_search all grew the same iteration
-// flags (--json / --cache-dir / --workers / --engine / --tier) with the
-// same exit-2 usage convention; this is the one spelling of that parsing.
+// flags (--json / --cache-dir / --engine / --tier) with the same exit-2
+// usage convention; this is the one spelling of that parsing.
 //
 // The functions are pure (no printing, no exit()) so the unit tests can
 // drive them with synthetic argv arrays: a parse error comes back as a
@@ -23,7 +23,6 @@ namespace socfmea::cli {
 struct CommonFlags {
   const char* jsonPath = nullptr;  ///< --json <path>
   const char* cacheDir = nullptr;  ///< --cache-dir <dir>
-  unsigned workers = 0;            ///< --workers N (0 = flag absent)
   faultsim::EngineKind engine = faultsim::EngineKind::Serial;
   inject::TierMode tier = inject::TierMode::Exact;
   bool engineSet = false;
@@ -33,7 +32,7 @@ struct CommonFlags {
   /// was given (the tools use this to switch into that mode).  --json and
   /// --engine apply to either mode, so neither counts.
   [[nodiscard]] bool anyIterationFlag() const noexcept {
-    return cacheDir != nullptr || workers > 0 || tierSet;
+    return cacheDir != nullptr || tierSet;
   }
 };
 
@@ -54,12 +53,6 @@ enum class FlagStatus {
 /// one indented description line per flag.  Callers append their own flags.
 [[nodiscard]] const std::string& commonUsageSynopsis();
 [[nodiscard]] const std::string& commonUsageDetails();
-
-/// The sharded campaign path (--workers >= 2) runs exact campaigns only.
-/// False, with `error` set to the one diagnostic every tool prints, when a
-/// non-exact --tier is combined with it.
-[[nodiscard]] bool checkTierWorkers(inject::TierMode tier, unsigned workers,
-                                    std::string& error);
 
 /// Opens the artifact store behind --cache-dir (validateDir + construct).
 /// Holds nullptr when the flag was absent; std::nullopt (with `error` set)

@@ -1,7 +1,7 @@
 // fuzz_diff: the differential fuzzing driver.
 //
 //   fuzz_diff --seed <S> --runs <N> [--shrink] [--out <dir>] [--threads <T>]
-//             [--workers <W>] [--sabotage <engine>/<mode>] [--quiet]
+//             [--sabotage <engine>/<mode>] [--quiet]
 //     Generates N random (design, stimulus, fault-plan) cases from the
 //     campaign seed S and runs each through the differential oracle: the
 //     serial engine and the bit-sliced engine (one thread, and a pool of
@@ -16,11 +16,6 @@
 //     --sabotage injects a deliberate verdict-flipping bug into one engine
 //     (e.g. --sabotage bitsliced/full-settle) to exercise the oracle and
 //     shrinker pipeline end to end.
-//
-//     --workers W adds the distributed multi-process engine to the oracle's
-//     combo set: every case is also sharded over W worker processes (this
-//     binary re-exec'd with --serve-worker) and the merged verdicts must
-//     match the serial reference fault-for-fault.
 //
 //   fuzz_diff --replay <design.nl> <plan.plan> [--threads <T>]
 //     Re-runs the oracle on a saved repro pair.
@@ -40,20 +35,17 @@
 //   Exit codes: 0 all cases agree, 1 oracle failure, 2 usage/IO error.
 //
 //   SOCFMEA_TEST_SEED overrides --seed (the same campaign-seed override the
-//   gtest suites honour).
+//   gtest suites honour); a malformed value is a usage error (exit 2).
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "cpu/mitigations.hpp"
 #include "cpu/scenarios.hpp"
 #include "cpu/tinycpu.hpp"
 #include "fault/fault.hpp"
-#include "serve/coordinator.hpp"
-#include "serve/job.hpp"
-#include "serve/worker.hpp"
 #include "testkit/cpu_program.hpp"
 #include "tools/cli_common.hpp"
 #include "testkit/netlist_gen.hpp"
@@ -73,7 +65,6 @@ struct Args {
   bool shrink = false;
   bool quiet = false;
   unsigned threads = 0;
-  unsigned workers = 0;
   std::string outDir = ".";
   std::string replayNl;
   std::string replayPlan;
@@ -85,10 +76,9 @@ struct Args {
   if (msg) std::cerr << "fuzz_diff: " << msg << "\n";
   std::cerr
       << "usage: fuzz_diff --seed <S> --runs <N> [--shrink] [--out <dir>]\n"
-         "                 [--threads <T>] [--workers <W>]\n"
+         "                 [--threads <T>]\n"
          "                 [--sabotage <serial|bitsliced>/<mode>] [--quiet]\n"
          "       fuzz_diff --replay <design.nl> <plan.plan> [--threads <T>]\n"
-         "                 [--workers <W>]\n"
          "       fuzz_diff --cpu <N> [--seed <S>] [oracle flags as above]\n"
          "       fuzz_diff --pin-corpus <dir>\n"
          "  --threads  bit-sliced workers of the multi-threaded combos\n"
@@ -140,12 +130,6 @@ Args parseArgs(int argc, char** argv) {
       if (!cli::parseUnsigned(value(i).c_str(), a.threads)) {
         usage("--threads needs an unsigned count");
       }
-    } else if (arg == "--workers") {
-      // Shared-surface flag (tools/cli_common.hpp): same strict parse the
-      // campaign CLIs use.
-      if (!cli::parseUnsigned(value(i).c_str(), a.workers)) {
-        usage("--workers needs an unsigned count");
-      }
     } else if (arg == "--out") {
       a.outDir = value(i);
     } else if (arg == "--shrink") {
@@ -170,43 +154,18 @@ Args parseArgs(int argc, char** argv) {
       usage(("unknown option '" + arg + "'").c_str());
     }
   }
-  std::uint64_t env = 0;
-  if (testkit::envSeed(&env)) a.seed = env;
+  try {
+    if (std::uint64_t env = 0; testkit::envSeed(&env)) a.seed = env;
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
   return a;
-}
-
-/// Adds the distributed multi-process engine as the oracle's extra combo:
-/// the plan's stimulus is carried to the workers as a vector-workload spec
-/// and the merged shard verdicts come back as one FaultSimResult.
-void wireDistributedCombo(unsigned workers, testkit::OracleOptions& opt) {
-  if (workers < 2) return;
-  opt.extraComboName = "distributed/" + std::to_string(workers) + "-workers";
-  opt.extraCombo = [workers](const netlist::Netlist& nl,
-                             const testkit::TestPlan& plan) {
-    const obs::Json wl =
-        serve::vectorWorkloadSpec(nl, plan.name, plan.inputs, plan.stimulus);
-    const obs::Json job =
-        serve::makeFaultSimJob(nl, wl, sim::EvalMode::EventDriven,
-                               /*earlyAbort=*/true);
-    serve::DistributedOptions dopt;
-    dopt.workers = workers;
-    const auto outcomes =
-        serve::runShardedFaultSim(nl, job, plan.faults, dopt);
-    faultsim::FaultSimResult r;
-    r.total = outcomes.size();
-    r.outcomes = outcomes;
-    for (const auto o : outcomes) {
-      if (o == faultsim::FaultOutcome::Detected) ++r.detected;
-    }
-    return r;
-  };
 }
 
 int replay(const Args& a) {
   testkit::OracleOptions opt;
   opt.threads = a.threads;
   opt.sabotage = a.sabotage;
-  wireDistributedCombo(a.workers, opt);
   try {
     const auto repro = testkit::loadRepro(a.replayNl, a.replayPlan);
     const auto report = testkit::runOracle(repro.design, repro.plan, opt);
@@ -222,7 +181,6 @@ int fuzz(const Args& a) {
   testkit::OracleOptions opt;
   opt.threads = a.threads;
   opt.sabotage = a.sabotage;
-  wireDistributedCombo(a.workers, opt);
   std::uint64_t failures = 0;
   for (std::uint64_t run = 0; run < a.runs; ++run) {
     const std::uint64_t caseSeed = testkit::derivedSeed(a.seed, run);
@@ -294,7 +252,6 @@ int cpuFuzz(const Args& a) {
   testkit::OracleOptions opt;
   opt.threads = a.threads;
   opt.sabotage = a.sabotage;
-  wireDistributedCombo(a.workers, opt);
   const auto& registry = cpu::scenarios::all();
   std::uint64_t failures = 0;
   for (std::uint64_t run = 0; run < a.cpuRuns; ++run) {
@@ -423,11 +380,6 @@ int pinCorpus(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-exec entry for --workers W (the coordinator spawns
-  // /proc/self/exe with this flag; it must bypass normal flag parsing).
-  if (argc >= 2 && std::strcmp(argv[1], "--serve-worker") == 0) {
-    return socfmea::serve::workerMain();
-  }
   const Args a = parseArgs(argc, argv);
   try {
     if (!a.pinDir.empty()) return pinCorpus(a);
