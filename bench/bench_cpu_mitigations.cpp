@@ -33,13 +33,12 @@ bool crossEngineIdentical() {
     for (const unsigned threads : {1u, 4u}) {
       opt.campaign.threads = threads;
       const sc::ScenarioResult other = sc::runScenario(*s, opt);
-      if (other.campaign.merged.records.size() !=
-          ref.campaign.merged.records.size()) {
+      if (other.campaign.records.size() != ref.campaign.records.size()) {
         return false;
       }
-      for (std::size_t i = 0; i < ref.campaign.merged.records.size(); ++i) {
-        if (other.campaign.merged.records[i].outcome !=
-            ref.campaign.merged.records[i].outcome) {
+      for (std::size_t i = 0; i < ref.campaign.records.size(); ++i) {
+        if (other.campaign.records[i].outcome !=
+            ref.campaign.records[i].outcome) {
           return false;
         }
       }
@@ -60,7 +59,7 @@ void printTable() {
                     : "CROSS-ENGINE VERDICT MISMATCH — numbers below are "
                       "suspect\n\n");
 
-  const sc::RunOptions opt;  // per-bit 2, seed 8, exact tier
+  const sc::RunOptions opt;  // per-bit 2, seed 8
   // mDC is the measured diagnostic coverage over dangerous activations
   // (CampaignResult::measuredDdf) — the injected counterpart of aDC.
   std::cout << "  scenario          aSFF   aDC  SIL    mSFF   mDC "

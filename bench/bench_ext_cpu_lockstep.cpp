@@ -7,7 +7,7 @@
 #include "cpu/flow_config.hpp"
 #include "cpu/workload.hpp"
 #include "inject/analyzer.hpp"
-#include "inject/tiered.hpp"
+#include "inject/manager.hpp"
 
 using namespace socfmea;
 
@@ -38,11 +38,10 @@ void printTable() {
     inject::InjectionManager mgr(d.nl, env);
     const auto profile =
         inject::OperationalProfile::record(flow.zones(), wl);
-    // The tiered campaign over the compiled design — the same path the
-    // scenario suite (bench_cpu_mitigations) uses.
-    const auto tiered = inject::runTieredCampaign(
-        mgr, wl, mgr.zoneFailureFaults(profile, 2, 9), {});
-    const auto& res = tiered.merged;
+    // The same campaign path the scenario suite (bench_cpu_mitigations)
+    // uses.
+    const auto res =
+        mgr.run(wl, mgr.zoneFailureFaults(profile, 2, 9), nullptr, {});
     const auto silHft1 =
         fmea::silFromSff(flow.sff(), a.hft, fmea::ElementType::TypeB);
     std::printf("  %-15s %9.2f%%  %8.2f%%   %-9s %-9s %9.2f%%  %12.2f%%\n",

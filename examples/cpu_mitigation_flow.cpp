@@ -10,7 +10,9 @@
 // SFF/DC/SIL next to the measured SFF/DDF of each mitigation, all against
 // the unprotected baseline.  --records dumps every injection record for
 // cross-engine debugging.  A malformed value (unknown engine/tier,
-// --per-bit 0, a non-numeric count or seed) exits 2.
+// --per-bit 0, a non-numeric count or seed) exits 2.  --tier is accepted
+// for compatibility only: every value runs the same exact campaign, which
+// simulates each distinct fault once.
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -42,6 +44,8 @@ struct Args {
                "                           [--tier exact|abstract|auto]"
                " [--engine serial|bitsliced]\n"
                "                           [--per-bit <N>] [--seed <S>]\n"
+               "  --tier     accepted for compatibility; every value runs the"
+               " same exact campaign\n"
                "  --engine   campaign engine (default serial)\n"
                "  --per-bit  faults per zone bit, >= 1 (default 2)\n"
                "  --seed     64-bit fault-sampling seed (default 8)\n"
@@ -123,9 +127,8 @@ int main(int argc, char** argv) {
     selected.push_back(s);
   }
 
-  std::cout << "==== software-mitigation scenario suite (tier "
-            << inject::tierModeName(a.run.tier) << ", per-bit " << a.run.perBit
-            << ", seed " << a.run.seed << ") ====\n"
+  std::cout << "==== software-mitigation scenario suite (per-bit "
+            << a.run.perBit << ", seed " << a.run.seed << ") ====\n"
             << "  scenario          aSFF   aDC  SIL    mSFF  mDDF faults"
                "  vs-base\n";
 
@@ -147,8 +150,8 @@ int main(int argc, char** argv) {
     j["min_sff_gain"] = s->minSffGain;
     jScenarios.push_back(j);
     if (a.records) {
-      for (std::size_t i = 0; i < r.campaign.merged.records.size(); ++i) {
-        const auto& rec = r.campaign.merged.records[i];
+      for (std::size_t i = 0; i < r.campaign.records.size(); ++i) {
+        const auto& rec = r.campaign.records[i];
         std::cout << "    record " << i << ": "
                   << fault::faultKindName(rec.fault.kind) << " net "
                   << rec.fault.net << " cell " << rec.fault.cell << " cycle "
@@ -164,7 +167,6 @@ int main(int argc, char** argv) {
   if (!a.jsonPath.empty()) {
     auto doc = obs::Json::object();
     doc["schema"] = std::string("socfmea.example.cpu_mitigation_flow/1");
-    doc["tier"] = std::string(inject::tierModeName(a.run.tier));
     doc["per_bit"] = static_cast<std::uint64_t>(a.run.perBit);
     doc["seed"] = a.run.seed;
     doc["scenarios"] = jScenarios;

@@ -46,9 +46,9 @@ int usage(const char* argv0) {
                " (implies incremental mode)\n"
                "  --max-resim  fail (exit 3) when the campaign re-simulates"
                " more than this fraction\n"
-               "(--cache-dir, --tier, --edit and --max-resim imply the"
-               " incremental flow-graph\n"
-               " mode; --engine applies to either mode, default serial)\n";
+               "(--cache-dir, --edit and --max-resim imply the incremental"
+               " flow-graph mode;\n"
+               " --engine applies to either mode, default serial)\n";
   return 2;
 }
 
@@ -57,7 +57,7 @@ int usage(const char* argv0) {
 /// artifact store already holds from previous iterations.
 int runIncremental(const char* jsonPath, const char* cacheDir,
                    const std::string& edit, double maxResim,
-                   faultsim::EngineKind engine, inject::TierMode tier) {
+                   faultsim::EngineKind engine) {
   memsys::GateLevelOptions gopt = memsys::GateLevelOptions::v1();
   if (!serve::applyProtectionEdit(edit, gopt)) {
     std::cerr << "unknown --edit measure: " << edit << "\n";
@@ -84,7 +84,6 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
   // The array dominates the IP's FIT budget: weight it beyond the per-zone
   // quota with a deterministic per-kind sample (same keys on every variant).
   iopt.memFaultsPerKind = 48;
-  iopt.tier.mode = tier;
 
   core::IncrementalFlow inc(dut.nl, core::makeFrmemFlowConfig(dut), iopt);
   std::cout << "==== incremental flow: v1 + edit '" << edit << "' ====\n";
@@ -105,28 +104,9 @@ int runIncremental(const char* jsonPath, const char* cacheDir,
             << camp.delta.reused << " reused, " << camp.delta.simulated
             << " re-simulated (" << fraction * 100.0 << " %), "
             << camp.delta.revalidated << " revalidated"
-            << (camp.fullHit
-                    ? " [full store hit]"
-                    : (camp.deltaRun
-                           ? " [delta run]"
-                           : (camp.tieredRun ? " [tiered]" : " [cold]")))
+            << (camp.fullHit ? " [full store hit]"
+                             : (camp.deltaRun ? " [delta run]" : " [cold]"))
             << "\n";
-  if (camp.tieredRun) {
-    const auto ti = [&](const char* k) -> long long {
-      const obs::Json* v = camp.tiers.find(k);
-      return v != nullptr && v->isNumber()
-                 ? static_cast<long long>(v->asDouble())
-                 : 0;
-    };
-    const obs::Json* agree = camp.tiers.find("agreement");
-    std::cout << "tiers: " << ti("abstract_classes") << " abstract classes, "
-              << ti("no_effect_shortcuts") << " no-effect shortcuts, "
-              << ti("escalated_faults") << " faults escalated to exact, "
-              << "measured agreement "
-              << (agree != nullptr && agree->isNumber() ? agree->asDouble()
-                                                        : 1.0)
-              << "\n";
-  }
 
   if (jsonPath != nullptr) {
     obs::Json report = inc.report();
@@ -185,8 +165,7 @@ int main(int argc, char** argv) {
   // --engine alone keeps the bare flow and picks its campaign engine.
   if (flags.anyIterationFlag() || edit != nullptr || maxResim >= 0.0) {
     return runIncremental(flags.jsonPath, flags.cacheDir,
-                          edit ? edit : "none", maxResim, flags.engine,
-                          flags.tier);
+                          edit ? edit : "none", maxResim, flags.engine);
   }
 
   std::cout << "==== step 1: first implementation (v1) ====\n";

@@ -1,6 +1,5 @@
 #include "core/incremental.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "fault/fault_list.hpp"
@@ -38,20 +37,6 @@ std::uint64_t campaignOptionsHash(const inject::CampaignOptions& copt) {
     h = hashMix(h, f.stuckValue ? 1 : 0);
     h = hashMix(h, f.cycle);
   }
-  return h;
-}
-
-std::uint64_t tierOptionsHash(const inject::TierOptions& t) {
-  // Every knob that can change a merged tiered verdict participates: the
-  // mode (Abstract vs Auto resolve differently on dedup-free lists), the
-  // escalation margin, the audit sample (it decides which sources carry
-  // exact records) and the frontier cap (it reshapes the plan itself).
-  std::uint64_t h = hashMix(0x71E4u, static_cast<std::uint64_t>(t.mode));
-  h = hashMix(h, t.boundaryMargin);
-  h = hashMix(h, static_cast<std::uint64_t>(
-                     std::clamp(t.auditFraction, 0.0, 1.0) * 1000000.0));
-  h = hashMix(h, t.auditSeed);
-  h = hashMix(h, t.maxFrontier);
   return h;
 }
 
@@ -157,41 +142,26 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
 
   IncrementalCampaign out;
   out.faultCount = faults.size();
-  out.tieredRun = opt_.tier.mode != inject::TierMode::Exact;
   inject::CoverageCollector cov(mgr.environment());
 
   // The stored campaign artifact: the records, the per-input stimulus
-  // hashes the next delta diffs against, the options key, and on the tiered
-  // path the accuracy envelope.
+  // hashes the next delta diffs against and the options key.
   const auto artifact = [&] {
     obs::Json a = campaignRecordsToJson(nl, db, effects, out.result);
     a["stimulus"] = stimJson;
     a["opts_key"] = hashHex(optsKey);
-    if (out.tieredRun) a["tiers"] = out.tiers;
     return a;
   };
 
   // Full recompute of the stage's verdicts on this design.
   const auto runCold = [&] {
-    if (out.tieredRun) {
-      inject::TieredResult tr =
-          inject::runTieredCampaign(mgr, wl, faults, opt_.tier, &cov, copt);
-      out.tiers = tr.tiersJson();  // before the move: the intervals tally it
-      out.result = std::move(tr.merged);
-      out.delta.total = faults.size();
-      out.delta.simulated = tr.abstracted
-                                ? tr.tiers.abstractClasses +
-                                      tr.tiers.escalatedFaults
-                                : faults.size();
-    } else {
-      out.result = mgr.run(wl, faults, &cov, copt);
-      out.delta.total = faults.size();
-      out.delta.simulated = faults.size();
-    }
+    out.result = mgr.run(wl, faults, &cov, copt);
+    out.delta.total = faults.size();
+    out.delta.simulated = faults.size();
   };
 
-  // Exact-path miss without a cold run: delta-merge against the previous
-  // head when possible.  Sets out.deltaRun on success.
+  // Miss without a cold run: delta-merge against the previous head when
+  // possible.  Sets out.deltaRun on success.
   const auto runDelta = [&] {
     if (opt_.store == nullptr) return;
     // Branch fallback chain: this branch's own head, then the parent branch
@@ -251,11 +221,8 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
   bool rejected = false;
   const auto bindStored = [&](const obs::Json& art) {
     const inject::CachedCampaign cache = inject::CachedCampaign::fromJson(art);
-    const obs::Json* tiers = art.find("tiers");
     auto records = inject::bindCampaignRecords(cache, nl, faults, db, effects);
-    const bool tiersOk =
-        !out.tieredRun || (tiers != nullptr && tiers->isObject());
-    if (!records || !tiersOk) {
+    if (!records) {
       rejected = true;
       return false;
     }
@@ -263,41 +230,17 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
     for (const inject::InjectionRecord& rec : out.result.records) {
       cov.account(rec.obs);
     }
-    if (out.tieredRun) out.tiers = *tiers;
     out.fullHit = true;
     out.delta.total = faults.size();
     out.delta.reused = faults.size();
     return true;
   };
 
-  // The exact path is one "campaign" stage.  The tiered path replaces it
-  // with two content-addressed stages: "abstract_sweep" pins the
-  // SET→multi-SEU plan (cheap to recompute; its artifact documents the
-  // dedup the tier achieved) and "escalation" holds the merged per-source
-  // records plus the measured accuracy envelope, reloading whole from the
-  // store exactly like the exact campaign artifact.
-  std::string_view stageName = "campaign";
-  std::uint64_t stageKey = campaignKey;
-  if (out.tieredRun) {
-    stageName = "escalation";
-    stageKey = hashMix(campaignKey, tierOptionsHash(opt_.tier));
-    flow_->graph().stage(
-        "abstract_sweep",
-        hashMix(campaignKey, hashMix(0xAB57u, opt_.tier.maxFrontier)), [&] {
-          fault::AbstractionOptions ao;
-          ao.observedNets = env.obsNets;
-          ao.observedNets.insert(ao.observedNets.end(), env.alarmNets.begin(),
-                                 env.alarmNets.end());
-          ao.maxFrontier = opt_.tier.maxFrontier;
-          return fault::abstractTransients(*cd, faults, ao).toJson();
-        });
-  }
-
   bool cached = false;
   flow_->graph().stage(
-      stageName, stageKey,
+      "campaign", campaignKey,
       [&] {
-        if (!out.tieredRun && !rejected) runDelta();
+        if (!rejected) runDelta();
         if (!out.deltaRun) runCold();
         return artifact();
       },
@@ -333,23 +276,9 @@ IncrementalCampaign IncrementalFlow::runZoneFailureCampaign(
           out.delta.total == 0 ? 0.0
                                : static_cast<double>(out.delta.simulated) /
                                      static_cast<double>(out.delta.total));
-  if (out.tieredRun) {
-    const auto tcount = [&](const char* k) -> double {
-      const obs::Json* v = out.tiers.find(k);
-      return v != nullptr && v->isNumber() ? v->asDouble() : 0.0;
-    };
-    reg.add("flow.tiers.runs", 1);
-    reg.set("flow.tiers.abstract_classes", tcount("abstract_classes"));
-    reg.set("flow.tiers.escalated_faults", tcount("escalated_faults"));
-    reg.set("flow.tiers.escalation_rate", tcount("escalation_rate"));
-    reg.set("flow.tiers.agreement", tcount("agreement"));
-  }
-
   obs::Json cj = obs::Json::object();
   cj["full_hit"] = out.fullHit;
   cj["delta_run"] = out.deltaRun;
-  cj["tiered_run"] = out.tieredRun;
-  if (out.tieredRun) cj["tiers"] = out.tiers;
   cj["delta"] = out.delta.toJson();
   cj["coverage_completeness"] = cov.completeness();
   cj["campaign"] = out.result.toJson(&db);

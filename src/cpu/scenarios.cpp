@@ -147,12 +147,9 @@ ScenarioResult runScenario(const Scenario& s, const RunOptions& opt) {
   const auto faults = mgr.zoneFailureFaults(profile, opt.perBit, opt.seed);
   r.faults = faults.size();
 
-  inject::TierOptions topt;
-  topt.mode = opt.tier;
-  r.campaign =
-      inject::runTieredCampaign(mgr, wl, faults, topt, nullptr, opt.campaign);
+  r.campaign = mgr.run(wl, faults, nullptr, opt.campaign);
 
-  r.tally = r.campaign.merged.tally();
+  r.tally = r.campaign.tally();
   r.measuredSff = inject::CampaignResult::measuredSff(r.tally);
   r.measuredDdf = inject::CampaignResult::measuredDdf(r.tally);
   r.measuredSafe = inject::CampaignResult::measuredSafeFraction(r.tally);
@@ -180,7 +177,6 @@ obs::Json ScenarioResult::toJson() const {
   m["faults"] = static_cast<std::uint64_t>(faults);
   m["tally"] = tally.toJson();
   j["measured"] = m;
-  if (campaign.abstracted) j["tiers"] = campaign.tiersJson();
   return j;
 }
 

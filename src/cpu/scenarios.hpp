@@ -26,7 +26,8 @@
 #include "cpu/flow_config.hpp"
 #include "cpu/mitigations.hpp"
 #include "fmea/sheet.hpp"
-#include "inject/tiered.hpp"
+#include "inject/manager.hpp"
+#include "inject/tier_mode.hpp"
 #include "obs/json.hpp"
 
 namespace socfmea::cpu::scenarios {
@@ -49,6 +50,8 @@ struct RunOptions {
   std::uint64_t seed = 8;
   std::size_t perBit = 2;           ///< zoneFailureFaults density
   std::uint64_t detectionWindow = 24;
+  /// Accepted for compatibility and ignored: every tier runs the same
+  /// campaign (inject/tier_mode.hpp).
   inject::TierMode tier = inject::TierMode::Exact;
   inject::CampaignOptions campaign;  ///< engine / threads / laneWords knobs
 };
@@ -60,7 +63,7 @@ struct ScenarioResult {
   double analysisDc = 0.0;
   fmea::Sil sil = fmea::Sil::NotAllowed;
   // Injection campaign measurements.
-  inject::TieredResult campaign;
+  inject::CampaignResult campaign;
   inject::OutcomeTally tally;
   double measuredSff = 0.0;
   double measuredDdf = 0.0;
@@ -80,7 +83,7 @@ struct ScenarioResult {
 [[nodiscard]] std::vector<std::uint8_t> kernelProgram();
 
 /// Full flow for one scenario: build design, FMEA analysis, profile-guided
-/// zone-failure fault list, tiered campaign.
+/// zone-failure fault list, injection campaign.
 [[nodiscard]] ScenarioResult runScenario(const Scenario& s,
                                          const RunOptions& opt = {});
 

@@ -27,7 +27,7 @@ enum class FaultKind : std::uint8_t {
   MemAddrMulti, ///< address decoder: multiple cells selected
   MemCoupling,  ///< dynamic cross-over between two cells
   MemSoftError, ///< soft error: stored bit flips at `cycle`
-  MultiSeu,     ///< abstract multi-bit SEU: every FF in `cells` flips at `cycle`
+  MultiSeu,     ///< multi-bit SEU: every FF in `cells` flips at `cycle`
 };
 
 [[nodiscard]] std::string_view faultKindName(FaultKind k) noexcept;
@@ -50,8 +50,7 @@ struct Fault {
   bool stuckValue = false;                 ///< MemStuckBit value
   std::uint64_t cycle = 0;                 ///< injection cycle for transients
   /// MultiSeu only: the FF group flipped together at `cycle` (sorted,
-  /// deduplicated).  Produced by the SET→multi-SEU abstraction pass
-  /// (fault/abstract.hpp); empty for every other kind.
+  /// deduplicated); empty for every other kind.
   std::vector<netlist::CellId> cells;
 
   [[nodiscard]] bool transient() const noexcept { return isTransient(kind); }

@@ -1,6 +1,7 @@
 #include "inject/manager.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <stdexcept>
@@ -234,9 +235,40 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
                                      const fault::FaultList& faults,
                                      CoverageCollector* coverage,
                                      const CampaignOptions& opt) {
-  if (opt.engine == faultsim::EngineKind::Bitsliced) {
-    return runBitsliced(wl, faults, coverage, opt);
+  // Distinct faults in first-occurrence order; slot[i] is the position of
+  // faults[i] among them.
+  std::map<std::reference_wrapper<const fault::Fault>, std::size_t,
+           std::less<fault::Fault>>
+      firstSeen;
+  std::vector<std::size_t> slot(faults.size());
+  fault::FaultList distinct;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const auto [it, inserted] =
+        firstSeen.try_emplace(std::cref(faults[i]), distinct.size());
+    if (inserted) distinct.push_back(faults[i]);
+    slot[i] = it->second;
   }
+
+  CampaignResult result = opt.engine == faultsim::EngineKind::Bitsliced
+                              ? runBitsliced(wl, distinct, opt)
+                              : runSerial(wl, distinct, opt);
+  if (distinct.size() < faults.size()) {
+    std::vector<InjectionRecord> records;
+    records.reserve(faults.size());
+    for (const std::size_t s : slot) records.push_back(result.records[s]);
+    result.records = std::move(records);
+  }
+  if (coverage != nullptr) {
+    for (const InjectionRecord& rec : result.records) {
+      coverage->account(rec.obs);
+    }
+  }
+  return result;
+}
+
+CampaignResult InjectionManager::runSerial(sim::Workload& wl,
+                                           const fault::FaultList& faults,
+                                           const CampaignOptions& opt) {
   obs::Registry& reg = obs::Registry::global();
   obs::ScopedTimer campaignTimer("inject.campaign.serial");
   // Record the stimulus once; golden and every faulty machine replay it
@@ -308,7 +340,6 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
     if (latent) latent->remove(sim);
 
     rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
-    if (coverage != nullptr) coverage->account(rec.obs);
     result.records.push_back(std::move(rec));
   }
   reg.add("inject.campaigns");
@@ -322,7 +353,6 @@ CampaignResult InjectionManager::run(sim::Workload& wl,
 
 CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
                                               const fault::FaultList& faults,
-                                              CoverageCollector* coverage,
                                               const CampaignOptions& opt) {
   if (opt.preexisting.has_value()) {
     throw std::invalid_argument(
@@ -376,7 +406,6 @@ CampaignResult InjectionManager::runBitsliced(sim::Workload& wl,
     rec.obs.diag = lo.diag;
     rec.obs.diagCycle = lo.diagCycle;
     rec.outcome = classifyObservation(rec.obs, env_.detectionWindow);
-    if (coverage != nullptr) coverage->account(rec.obs);
     result.records.push_back(std::move(rec));
   }
   result.cyclesSimulated = campaign.cyclesSimulated;

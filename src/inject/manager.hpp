@@ -171,15 +171,15 @@ class InjectionManager {
     return env_;
   }
   [[nodiscard]] const netlist::Netlist& design() const noexcept { return *nl_; }
-  /// The compiled form every campaign machine shares (the tiered campaign's
-  /// abstraction pass walks its CSR fanout).
-  [[nodiscard]] const netlist::CompiledDesign& compiled() const noexcept {
-    return *cd_;
-  }
 
   /// Runs the campaign on opt.engine; `coverage`, when non-null,
   /// accumulates the completeness counters.  Records are in fault-list
-  /// order and bit-identical across engines and thread counts.
+  /// order and bit-identical across engines and thread counts.  Every
+  /// machine restarts from reset, so equal faults give equal records: each
+  /// distinct fault is simulated once (in first-occurrence order) and its
+  /// record is copied to every position that lists it.  Coverage is still
+  /// accounted per listed fault; `inject.faults_simulated` and
+  /// cyclesSimulated count the distinct faults only.
   [[nodiscard]] CampaignResult run(sim::Workload& wl,
                                    const fault::FaultList& faults,
                                    CoverageCollector* coverage = nullptr,
@@ -194,6 +194,12 @@ class InjectionManager {
       std::uint64_t seed) const;
 
  private:
+  /// The serial oracle: one faulty machine at a time, lockstep with the
+  /// recorded golden reference.
+  [[nodiscard]] CampaignResult runSerial(sim::Workload& wl,
+                                         const fault::FaultList& faults,
+                                         const CampaignOptions& opt);
+
   /// Bit-sliced fault-parallel campaign: builds a LaneWatch from the
   /// environment (target-zone net groups, observation nets, alarm nets),
   /// runs faultsim::runBitslicedWatch and maps the lane observations back
@@ -201,7 +207,6 @@ class InjectionManager {
   /// past the recorded stimulus, so drain cycles cannot change any record.
   [[nodiscard]] CampaignResult runBitsliced(sim::Workload& wl,
                                             const fault::FaultList& faults,
-                                            CoverageCollector* coverage,
                                             const CampaignOptions& opt);
 
   /// Exports compiled-design shape and evaluation-economy telemetry into

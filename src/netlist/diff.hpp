@@ -62,8 +62,8 @@ struct NetlistDiff {
 [[nodiscard]] NetlistDiff diff(const Netlist& a, const Netlist& b);
 
 // ForwardReach — the "D" set of affectedCone() — lives in
-// netlist/traversal.hpp: it is the shared forward walker this closure, the
-// bit-sliced engine's cone union and the SET→multi-SEU abstraction all use.
+// netlist/traversal.hpp: it is the shared forward walker behind this
+// closure.
 
 /// The resimulation set over design B: flags indexed by CellId / MemoryId.
 struct AffectedCone {

@@ -230,85 +230,9 @@ std::vector<CellId> forwardReach(const CompiledDesign& cd,
 ForwardReach forwardReach(const CompiledDesign& cd,
                           const std::vector<NetId>& seeds) {
   ForwardReach reach = emptyReach(cd);
-  extendForwardReach(cd, reach, seeds);
-  return reach;
-}
-
-void extendForwardReach(const CompiledDesign& cd, ForwardReach& reach,
-                        const std::vector<NetId>& seeds) {
   walkForward(cd, reach, seeds, /*throughRegisters=*/true,
               /*throughMemories=*/true, nullptr);
-}
-
-CombFrontier combFrontier(const CompiledDesign& cd,
-                          const std::vector<NetId>& seeds) {
-  CombFrontier fr;
-  fr.reach = emptyReach(cd);
-  std::vector<CellId> reached;
-  walkForward(cd, fr.reach, seeds, /*throughRegisters=*/false,
-              /*throughMemories=*/false, &reached);
-  std::sort(reached.begin(), reached.end());
-  for (const CellId c : reached) {
-    const CellType t = cd.cellType(c);
-    if (t == CellType::Dff) {
-      fr.ffs.push_back(c);
-    } else if (t == CellType::Output) {
-      fr.outputs.push_back(c);
-    }
-  }
-  for (NetId n = 0; n < cd.netCount(); ++n) {
-    if (fr.reach.net[n] == 0) continue;
-    for (const MemoryId m : cd.memWriteSinks(n)) {
-      (void)m;
-      fr.reachesMemory = true;
-      break;
-    }
-    if (fr.reachesMemory) break;
-  }
-  return fr;
-}
-
-std::vector<NetId> combFanoutNets(const Netlist& nl, NetId src) {
-  std::vector<bool> netSeen(nl.netCount(), false);
-  std::vector<NetId> stack{src};
-  netSeen[src] = true;
-  std::vector<NetId> out;
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    for (CellId sink : nl.net(n).fanout) {
-      const Cell& c = nl.cell(sink);
-      if (!isCombinational(c.type) || c.output == kNoNet) continue;
-      if (!netSeen[c.output]) {
-        netSeen[c.output] = true;
-        stack.push_back(c.output);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<NetId> combFanoutNets(const CompiledDesign& cd, NetId src) {
-  std::vector<bool> netSeen(cd.netCount(), false);
-  std::vector<NetId> stack{src};
-  netSeen[src] = true;
-  std::vector<NetId> out;
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    for (CellId sink : cd.fanout(n)) {
-      if (!isCombinational(cd.cellType(sink))) continue;
-      const NetId next = cd.cellOutput(sink);
-      if (next == kNoNet || netSeen[next]) continue;
-      netSeen[next] = true;
-      stack.push_back(next);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return reach;
 }
 
 }  // namespace socfmea::netlist

@@ -48,20 +48,11 @@ struct Cone {
                                                bool throughRegisters,
                                                bool throughMemories = false);
 
-/// Transitive fanout nets of a single net within the combinational phase.
-[[nodiscard]] std::vector<NetId> combFanoutNets(const Netlist& nl, NetId src);
-
-/// CSR form of combFanoutNets (identical result).
-[[nodiscard]] std::vector<NetId> combFanoutNets(const CompiledDesign& cd,
-                                                NetId src);
-
 /// Flag form of the forward closure over the compiled CSR adjacency: every
 /// net, cell and memory whose value can be perturbed by a disturbance on the
-/// seeds, crossing flip-flops and memory write ports.  This is the one shared
-/// forward walker — the incremental flow's affected-cone "D" set
-/// (netlist/diff), the bit-sliced engine's per-word cone union
-/// (faultsim/lanes) and the SET→multi-SEU abstraction pass (fault/abstract)
-/// all restrict or extend this closure rather than re-walking the graph.
+/// seeds, crossing flip-flops and memory write ports — the incremental
+/// flow's affected-cone "D" set (netlist/diff).  It shares one walker with
+/// the CSR forwardReach above.
 struct ForwardReach {
   std::vector<char> net;   ///< indexed by NetId
   std::vector<char> cell;  ///< indexed by CellId
@@ -79,27 +70,6 @@ struct ForwardReach {
 };
 
 [[nodiscard]] ForwardReach forwardReach(const CompiledDesign& cd,
-                                        const std::vector<NetId>& seeds);
-
-/// Extends an existing closure by additional seeds in place (reachability is
-/// union-distributive, so merging per-seed closures equals one closure over
-/// the union).  Already-marked nodes are not re-walked.
-void extendForwardReach(const CompiledDesign& cd, ForwardReach& reach,
-                        const std::vector<NetId>& seeds);
-
-/// The single-cycle (combinational-only) forward cone of a seed net set,
-/// summarised for the SET→multi-SEU abstraction: the flip-flops whose D pins
-/// the cone reaches (the state bits a same-cycle glitch on the seeds can
-/// corrupt at the next edge), the primary outputs it reaches (same-cycle
-/// observability) and whether it feeds any memory write-side pin.
-struct CombFrontier {
-  std::vector<CellId> ffs;      ///< frontier flip-flops (sorted, unique)
-  std::vector<CellId> outputs;  ///< primary-output cells reached (sorted)
-  bool reachesMemory = false;   ///< cone feeds addr/wdata/we/re of a memory
-  ForwardReach reach;           ///< the underlying comb-bounded closure
-};
-
-[[nodiscard]] CombFrontier combFrontier(const CompiledDesign& cd,
                                         const std::vector<NetId>& seeds);
 
 }  // namespace socfmea::netlist

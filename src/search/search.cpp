@@ -177,7 +177,6 @@ const ArchitectureSearch::Eval& ArchitectureSearch::evaluate(
   iopt.headBranch = id == "v1" ? std::string() : id;
   iopt.headParent = parentId == "v1" ? std::string() : parentId;
   iopt.memFaultsPerKind = opt_.memFaultsPerKind;
-  iopt.tier = opt_.tier;
   memsys::ProtectionIpWorkload::Options wopt;
   wopt.cycles = opt_.workloadCycles;
   iopt.workloadTag = hashMix(hashString("protection-ip-workload"),
@@ -278,7 +277,6 @@ bool ArchitectureSearch::verifyBitIdentity(const Eval& best) {
   BuiltCandidate built = buildCandidate(best.score.specs, best.score.id);
   core::IncrementalOptions iopt;
   iopt.memFaultsPerKind = opt_.memFaultsPerKind;
-  iopt.tier = opt_.tier;
   memsys::ProtectionIpWorkload::Options wopt;
   wopt.cycles = opt_.workloadCycles;
   iopt.workloadTag = hashMix(hashString("protection-ip-workload"),

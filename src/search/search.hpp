@@ -38,7 +38,6 @@ struct SearchOptions {
   std::size_t maxRounds = 16;
   /// Proposals taken from the criticality ranking per beam state per round.
   std::size_t candidatesPerRound = 6;
-  inject::TierOptions tier;
   /// Campaign engine for every candidate evaluation and for the winner's
   /// cold-flat verify.  The search never injects latent faults, so the
   /// bit-sliced engine covers it; Serial selects the reference oracle.

@@ -1,5 +1,5 @@
 // Unit tests for the shared CLI surface (tools/cli_common) — the one
-// spelling of the --json/--cache-dir/--engine/--tier parsing that
+// spelling of the --json/--cache-dir/--engine parsing that
 // memsys_sil3_flow, injection_campaign, fuzz_diff and arch_search share.
 // The helpers are pure (no printing, no exit()), so the tests drive them
 // with synthetic argv arrays.
@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tools/cli_common.hpp"
@@ -38,8 +37,8 @@ ParseRun parseAll(std::vector<const char*> argv) {
 }
 
 TEST(CliCommon, ParsesEverydaySharedFlagSet) {
-  const ParseRun run = parseAll({"--json", "out.json", "--cache-dir", "/tmp/s",
-                                 "--engine", "bitsliced", "--tier", "auto"});
+  const ParseRun run = parseAll(
+      {"--json", "out.json", "--cache-dir", "/tmp/s", "--engine", "bitsliced"});
   for (const cli::FlagStatus st : run.statuses) {
     EXPECT_EQ(st, cli::FlagStatus::Consumed);
   }
@@ -47,8 +46,6 @@ TEST(CliCommon, ParsesEverydaySharedFlagSet) {
   EXPECT_STREQ(run.flags.cacheDir, "/tmp/s");
   EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Bitsliced);
   EXPECT_TRUE(run.flags.engineSet);
-  EXPECT_EQ(run.flags.tier, socfmea::inject::TierMode::Auto);
-  EXPECT_TRUE(run.flags.tierSet);
   EXPECT_TRUE(run.flags.anyIterationFlag());
 }
 
@@ -68,12 +65,19 @@ TEST(CliCommon, EngineAloneIsNotAnIterationFlag) {
   EXPECT_TRUE(run.flags.engineSet);
   EXPECT_EQ(run.flags.engine, socfmea::faultsim::EngineKind::Bitsliced);
   EXPECT_FALSE(run.flags.anyIterationFlag());
-  const std::vector<std::pair<const char*, const char*>> iterationFlags = {
-      {"--cache-dir", "/tmp/s"}, {"--tier", "exact"}};
-  for (const auto& [flag, value] : iterationFlags) {
-    const ParseRun with = parseAll({"--engine", "serial", flag, value});
-    EXPECT_TRUE(with.flags.anyIterationFlag()) << flag;
-  }
+  const ParseRun with = parseAll({"--engine", "serial", "--cache-dir", "/s"});
+  EXPECT_TRUE(with.flags.anyIterationFlag());
+}
+
+TEST(CliCommon, RetiredTierFlagIsLeftToTheCaller) {
+  // There is no campaign tier to pick (every campaign simulates each
+  // distinct fault once), so --tier is not a shared flag and the tools
+  // reject it as unknown.
+  const ParseRun run = parseAll({"--tier", "auto"});
+  EXPECT_EQ(run.statuses.front(), cli::FlagStatus::NotMine);
+  EXPECT_FALSE(run.flags.anyIterationFlag());
+  EXPECT_EQ(cli::commonUsageSynopsis().find("--tier"), std::string::npos);
+  EXPECT_EQ(cli::commonUsageDetails().find("--tier"), std::string::npos);
 }
 
 TEST(CliCommon, UnknownFlagIsLeftToTheCaller) {
@@ -83,18 +87,15 @@ TEST(CliCommon, UnknownFlagIsLeftToTheCaller) {
 }
 
 TEST(CliCommon, MissingValueIsAnError) {
-  for (const char* flag :
-       {"--json", "--cache-dir", "--engine", "--tier"}) {
+  for (const char* flag : {"--json", "--cache-dir", "--engine"}) {
     const ParseRun run = parseAll({flag});
     EXPECT_EQ(run.statuses.front(), cli::FlagStatus::Error) << flag;
     EXPECT_NE(run.error.find("needs a value"), std::string::npos) << flag;
   }
 }
 
-TEST(CliCommon, UnknownEngineAndTierAreErrors) {
+TEST(CliCommon, UnknownEngineIsAnError) {
   EXPECT_EQ(parseAll({"--engine", "warp"}).statuses.front(),
-            cli::FlagStatus::Error);
-  EXPECT_EQ(parseAll({"--tier", "turbo"}).statuses.front(),
             cli::FlagStatus::Error);
 }
 
@@ -114,7 +115,7 @@ TEST(CliCommon, RetiredEngineNamesAreErrors) {
 }
 
 TEST(CliCommon, UsageTextCoversEverySharedFlag) {
-  for (const char* flag : {"--json", "--cache-dir", "--engine", "--tier"}) {
+  for (const char* flag : {"--json", "--cache-dir", "--engine"}) {
     EXPECT_NE(cli::commonUsageSynopsis().find(flag), std::string::npos)
         << flag;
     EXPECT_NE(cli::commonUsageDetails().find(flag), std::string::npos) << flag;

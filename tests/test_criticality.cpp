@@ -2,7 +2,7 @@
 //   * Count-weighting invariant: per-site and per-zone dangerous-undetected
 //     contributions sum to the campaign tally's DU total — under the serial
 //     reference engine, the bit-sliced engine (identical attribution) and
-//     the tiered abstract->exact path (same invariant on merged records);
+//     a list naming every fault twice (records fanned out per listed fault);
 //   * a testkit fuzz hook: the invariant holds on seeded random designs;
 //   * transform soundness: every netlist transform is a pure addition
 //     (netlist::diff reports added items only), policy transforms edit
@@ -14,7 +14,6 @@
 
 #include "inject/manager.hpp"
 #include "inject/profile.hpp"
-#include "inject/tiered.hpp"
 #include "inject/workload.hpp"
 #include "memsys/gatelevel.hpp"
 #include "netlist/diff.hpp"
@@ -99,7 +98,7 @@ void expectCountInvariant(const sr::CriticalityMap& crit,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// count-weighting invariant: serial / bitsliced / tiered
+// count-weighting invariant: serial / bitsliced / duplicate faults
 // ---------------------------------------------------------------------------
 
 TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
@@ -132,14 +131,17 @@ TEST(Criticality, SiteAndZoneDuSumToTallyAcrossEngines) {
               critSliced.sites()[i].dangerousUndetected);
   }
 
-  // Tiered abstract->exact path: merged records keep the invariant.
-  ij::TierOptions topt;
-  topt.mode = ij::TierMode::Abstract;
-  const ij::TieredResult tiered =
-      ij::runTieredCampaign(mgr, wl, faults, topt);
-  const auto critTiered =
-      sr::CriticalityMap::fromCampaign(tb.n, tb.db, tiered.merged);
-  expectCountInvariant(critTiered, tiered.merged);
+  // Every fault listed twice: each distinct fault is simulated once and its
+  // record fanned out to both positions, so every DU count doubles.
+  ft::FaultList twice = faults;
+  ft::append(twice, faults);
+  const ij::CampaignResult doubled = mgr.run(wl, twice, nullptr, slicedOpt);
+  ASSERT_EQ(doubled.records.size(), twice.size());
+  const auto critDoubled =
+      sr::CriticalityMap::fromCampaign(tb.n, tb.db, doubled);
+  expectCountInvariant(critDoubled, doubled);
+  EXPECT_EQ(doubled.tally().count(ij::Outcome::DangerousUndetected),
+            2 * serial.tally().count(ij::Outcome::DangerousUndetected));
 }
 
 TEST(Criticality, UncheckedRegisterRanksAboveParityProtectedOne) {

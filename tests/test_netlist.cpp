@@ -347,13 +347,6 @@ TEST(TraversalTest, ForwardReachThroughMemory) {
   EXPECT_TRUE(std::find(withMem.begin(), withMem.end(), po) != withMem.end());
 }
 
-TEST(TraversalTest, CombFanoutNets) {
-  Pipe p;
-  const auto nets = nl::combFanoutNets(p.n, p.q1);
-  EXPECT_TRUE(std::find(nets.begin(), nets.end(), p.w2) != nets.end());
-  EXPECT_TRUE(std::find(nets.begin(), nets.end(), p.q2) == nets.end());
-}
-
 // ---------------------------------------------------------------------------
 // stats
 // ---------------------------------------------------------------------------

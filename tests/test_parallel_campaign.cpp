@@ -3,14 +3,22 @@
 // headline determinism contract — the same fault list through the serial
 // oracle and the bit-sliced engine on a worker pool (threads = 2, 4) on the
 // memsys reference design produces identical InjectionRecords, coverage
-// counters and FaultSimResult detections.
+// counters and FaultSimResult detections — and a list that names a fault
+// more than once simulates it once and copies its record to every position.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/flow.hpp"
 #include "core/thread_pool.hpp"
+#include "cpu/flow_config.hpp"
+#include "cpu/scenarios.hpp"
+#include "cpu/workload.hpp"
 #include "fault/collapse.hpp"
 #include "fault/fault_list.hpp"
 #include "faultsim/serial.hpp"
@@ -19,6 +27,7 @@
 #include "memsys/gatelevel.hpp"
 #include "memsys/workloads.hpp"
 #include "netlist/builder.hpp"
+#include "obs/telemetry.hpp"
 #include "testkit/seed.hpp"
 #include "zones/extract.hpp"
 
@@ -542,4 +551,67 @@ TEST(ParallelCampaignTest, JsonMetricsSectionIdenticalSerialVsParallel) {
             serialExec.at("cycles_simulated").asInt());
   EXPECT_GT(parExec.at("checkpoint_hits").asInt(), 0);
   EXPECT_EQ(serialExec.at("checkpoint_hits").asInt(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// duplicate faults: each distinct fault is simulated once
+// ---------------------------------------------------------------------------
+
+TEST(DuplicateFaultTest, EachDistinctFaultIsSimulatedOnceAndFannedOut) {
+  // The cpu suite's unprotected scenario at per-bit 24, seed 1: SEU cycles
+  // are drawn with replacement from a short program's live cycles, so the
+  // list repeats many faults.
+  namespace cpu = socfmea::cpu;
+  const cpu::scenarios::Scenario& s = cpu::scenarios::all()[0];
+  const cpu::CpuDesign d = cpu::buildTinyCpu(s.design);
+  const co::FmeaFlow flow(d.nl, cpu::makeMitigationFlowConfig(d, s.mitigation));
+  cpu::CpuWorkload wl(d, s.design.program, s.cycles);
+  const ij::InjectionEnvironment env =
+      ij::EnvironmentBuilder(flow.zones(), flow.effects())
+          .withSeed(1)
+          .withDetectionWindow(24)
+          .build();
+  ij::InjectionManager mgr(d.nl, env);
+  const auto profile = ij::OperationalProfile::record(flow.zones(), wl);
+  const ft::FaultList list = mgr.zoneFailureFaults(profile, 24, 1);
+
+  ft::FaultList distinct;
+  std::vector<std::size_t> slot;
+  for (const ft::Fault& f : list) {
+    const auto it = std::find(distinct.begin(), distinct.end(), f);
+    slot.push_back(static_cast<std::size_t>(it - distinct.begin()));
+    if (it == distinct.end()) distinct.push_back(f);
+  }
+  EXPECT_EQ(list.size(), 1368u);
+  EXPECT_EQ(distinct.size(), 700u);
+
+  ij::CampaignOptions serialOpt;  // the serial reference oracle
+  for (const auto& [name, opt] : {std::pair{"serial", serialOpt},
+                                  std::pair{"bitsliced x1", bitslicedOn(1)},
+                                  std::pair{"bitsliced x4", bitslicedOn(4)}}) {
+    SCOPED_TRACE(name);
+    const socfmea::obs::Registry& reg = socfmea::obs::Registry::global();
+    const std::uint64_t before = reg.counter("inject.faults_simulated");
+    ij::CoverageCollector cov(mgr.environment());
+    const ij::CampaignResult run = mgr.run(wl, list, &cov, opt);
+    EXPECT_EQ(reg.counter("inject.faults_simulated") - before,
+              distinct.size());
+
+    const ij::CampaignResult once = mgr.run(wl, distinct, nullptr, opt);
+    // Same work as a run of the distinct list (on a single thread; with
+    // more, the bit-sliced cycle count depends on the scheduling).
+    if (opt.threads == 1) {
+      EXPECT_EQ(run.cyclesSimulated, once.cyclesSimulated);
+    }
+    ij::CampaignResult fannedOut;
+    ij::CoverageCollector expectedCov(mgr.environment());
+    for (const std::size_t i : slot) {
+      fannedOut.records.push_back(once.records[i]);
+      expectedCov.account(once.records[i].obs);
+    }
+    expectRecordsEqual(run, fannedOut);
+    EXPECT_EQ(cov.injections(), list.size());
+    EXPECT_DOUBLE_EQ(cov.completeness(), expectedCov.completeness());
+    EXPECT_EQ(cov.toJson().dump(), expectedCov.toJson().dump());
+  }
 }

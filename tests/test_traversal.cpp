@@ -1,16 +1,12 @@
 // Property tests for the consolidated forward-cone walker
-// (netlist/traversal): the incremental flow's affected cone, the bit-sliced
-// engine's cone union and the SET→multi-SEU abstraction all share ONE
-// walkForward implementation, so the tests here cross-check that shared
-// walker against the independent Netlist-form traversal on random designs —
-// identical reach sets, union-distributivity of extendForwardReach and the
-// documented comb-bounded semantics of combFrontier.
+// (netlist/traversal): the incremental flow's affected cone and the CSR
+// forwardReach share ONE walkForward implementation, so the test here
+// cross-checks that shared walker against the independent Netlist-form
+// traversal on random designs (identical reach sets).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
-#include "netlist/builder.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/traversal.hpp"
 #include "sim/rng.hpp"
@@ -75,95 +71,4 @@ TEST(TraversalPropertyTest, FlagClosureMatchesNetlistWalkOnRandomDesigns) {
     EXPECT_EQ(viaFlags, viaNetlist) << "design " << iter;
     EXPECT_EQ(viaFlags, viaCsrList) << "design " << iter;
   }
-}
-
-// Reachability is union-distributive: extending a closure one seed at a time
-// must land on the same set as one closure over every seed.
-TEST(TraversalPropertyTest, ExtendSeedBySeedEqualsOneShot) {
-  sm::Rng rng(0xAB5EED);
-  for (int iter = 0; iter < 10; ++iter) {
-    tk::GeneratorOptions gopt = tk::randomOptions(rng);
-    const nl::Netlist n = tk::generateNetlist(gopt, rng);
-    const nl::CompiledDesignPtr cd = nl::compile(n);
-    const std::vector<nl::NetId> seeds = sampleSeeds(n);
-    if (seeds.size() < 2) continue;
-
-    const nl::ForwardReach oneShot = nl::forwardReach(*cd, seeds);
-    nl::ForwardReach stepped = nl::forwardReach(*cd, {seeds.front()});
-    for (std::size_t i = 1; i < seeds.size(); ++i) {
-      nl::extendForwardReach(*cd, stepped, {seeds[i]});
-    }
-    EXPECT_EQ(oneShot.net, stepped.net);
-    EXPECT_EQ(oneShot.cell, stepped.cell);
-    EXPECT_EQ(oneShot.mem, stepped.mem);
-  }
-}
-
-// combFrontier is the comb-bounded slice of the same walker: its FF / output
-// lists must be exactly the Dff / Output cells of the Netlist-form walk with
-// registers NOT crossed, its closure a subset of the full closure, and
-// reachesMemory must agree with a direct scan of the reached nets' memory
-// write sinks.
-TEST(TraversalPropertyTest, CombFrontierMatchesRegisterBoundedWalk) {
-  sm::Rng rng(0xF0CA1);
-  for (int iter = 0; iter < 25; ++iter) {
-    tk::GeneratorOptions gopt = tk::randomOptions(rng);
-    const nl::Netlist n = tk::generateNetlist(gopt, rng);
-    const nl::CompiledDesignPtr cd = nl::compile(n);
-    for (const nl::NetId seed : sampleSeeds(n)) {
-      const nl::CombFrontier fr = nl::combFrontier(*cd, {seed});
-
-      std::set<nl::CellId> wantFfs;
-      std::set<nl::CellId> wantOuts;
-      for (const nl::CellId c :
-           nl::forwardReach(n, {seed}, /*throughRegisters=*/false)) {
-        if (n.cell(c).type == nl::CellType::Dff) wantFfs.insert(c);
-        if (n.cell(c).type == nl::CellType::Output) wantOuts.insert(c);
-      }
-      EXPECT_EQ(asSet(fr.ffs), wantFfs);
-      EXPECT_EQ(asSet(fr.outputs), wantOuts);
-      EXPECT_TRUE(std::is_sorted(fr.ffs.begin(), fr.ffs.end()));
-      EXPECT_TRUE(std::is_sorted(fr.outputs.begin(), fr.outputs.end()));
-
-      bool wantMem = false;
-      for (nl::NetId net = 0; net < fr.reach.net.size(); ++net) {
-        if (fr.reach.net[net] != 0 && !cd->memWriteSinks(net).empty()) {
-          wantMem = true;
-        }
-      }
-      EXPECT_EQ(fr.reachesMemory, wantMem);
-
-      const nl::ForwardReach full = nl::forwardReach(*cd, {seed});
-      for (nl::NetId net = 0; net < fr.reach.net.size(); ++net) {
-        if (fr.reach.net[net] != 0) {
-          EXPECT_NE(full.net[net], 0);
-        }
-      }
-    }
-  }
-}
-
-// Deterministic fixture: in -> g1 -> ffA; ffA.q -> g2 -> out.  The comb cone
-// of g1 stops at the flip-flop; the cone of g2 sees only the output port.
-TEST(TraversalTest, CombFrontierStopsAtRegisters) {
-  nl::Netlist n("frontier");
-  nl::Builder b(n);
-  const nl::NetId in = b.input("in");
-  const nl::NetId g1 = b.band(in, in);
-  const nl::NetId q = b.dff("ffA", g1);
-  const nl::NetId g2 = b.bnot(q);
-  b.output("out", g2);
-  n.check();
-  const nl::CompiledDesignPtr cd = nl::compile(n);
-
-  const nl::CombFrontier f1 = nl::combFrontier(*cd, {g1});
-  ASSERT_EQ(f1.ffs.size(), 1u);
-  EXPECT_EQ(f1.ffs[0], *n.findCell("ffA"));
-  EXPECT_TRUE(f1.outputs.empty());
-  EXPECT_FALSE(f1.reachesMemory);
-
-  const nl::CombFrontier f2 = nl::combFrontier(*cd, {g2});
-  EXPECT_TRUE(f2.ffs.empty());
-  ASSERT_EQ(f2.outputs.size(), 1u);
-  EXPECT_EQ(f2.outputs[0], *n.findCell("out"));
 }

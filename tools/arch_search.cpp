@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
   sopt.beamWidth = beam;
   sopt.maxRounds = rounds;
   sopt.candidatesPerRound = candidates;
-  sopt.tier.mode = flags.tier;
   if (flags.engineSet) sopt.engine = flags.engine;
   sopt.verifyFinal = verify;
   sopt.log = [](const std::string& line) { std::cout << line << "\n"; };

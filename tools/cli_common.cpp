@@ -48,26 +48,12 @@ FlagStatus parseCommonFlag(int argc, char* const* argv, int& i,
     out.engineSet = true;
     return FlagStatus::Consumed;
   }
-  if (std::strcmp(arg, "--tier") == 0) {
-    const char* v = flagValue(argc, argv, i, error);
-    if (v == nullptr) return FlagStatus::Error;
-    const auto m = inject::tierModeFromName(v);
-    if (!m) {
-      error = std::string("--tier: unknown tier '") + v +
-              "' (abstract | exact | auto)";
-      return FlagStatus::Error;
-    }
-    out.tier = *m;
-    out.tierSet = true;
-    return FlagStatus::Consumed;
-  }
   return FlagStatus::NotMine;
 }
 
 const std::string& commonUsageSynopsis() {
   static const std::string s =
-      "[--json <path>] [--cache-dir <dir>] [--engine <kind>]"
-      " [--tier <mode>]";
+      "[--json <path>] [--cache-dir <dir>] [--engine <kind>]";
   return s;
 }
 
@@ -75,10 +61,7 @@ const std::string& commonUsageDetails() {
   static const std::string s =
       "  --json       machine-readable report path\n"
       "  --cache-dir  artifact store for the flow graph / delta campaign\n"
-      "  --engine     campaign engine: serial | bitsliced\n"
-      "  --tier       campaign tier: abstract | exact | auto (abstract ="
-      " SET->multi-SEU sweep\n"
-      "               with exact-resim escalation)\n";
+      "  --engine     campaign engine: serial | bitsliced\n";
   return s;
 }
 

@@ -1,7 +1,7 @@
 // Shared CLI surface of the campaign tools.  memsys_sil3_flow,
 // injection_campaign, fuzz_diff and arch_search all grew the same iteration
-// flags (--json / --cache-dir / --engine / --tier) with the same exit-2
-// usage convention; this is the one spelling of that parsing.
+// flags (--json / --cache-dir / --engine) with the same exit-2 usage
+// convention; this is the one spelling of that parsing.
 //
 // The functions are pure (no printing, no exit()) so the unit tests can
 // drive them with synthetic argv arrays: a parse error comes back as a
@@ -15,7 +15,6 @@
 
 #include "core/artifact_store.hpp"
 #include "faultsim/serial.hpp"
-#include "inject/tiered.hpp"
 
 namespace socfmea::cli {
 
@@ -24,15 +23,13 @@ struct CommonFlags {
   const char* jsonPath = nullptr;  ///< --json <path>
   const char* cacheDir = nullptr;  ///< --cache-dir <dir>
   faultsim::EngineKind engine = faultsim::EngineKind::Serial;
-  inject::TierMode tier = inject::TierMode::Exact;
   bool engineSet = false;
-  bool tierSet = false;
 
   /// A shared flag that only the incremental / store-backed mode honours
   /// was given (the tools use this to switch into that mode).  --json and
   /// --engine apply to either mode, so neither counts.
   [[nodiscard]] bool anyIterationFlag() const noexcept {
-    return cacheDir != nullptr || tierSet;
+    return cacheDir != nullptr;
   }
 };
 
